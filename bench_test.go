@@ -294,9 +294,9 @@ func BenchmarkMILPParallel(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				opt := e.Opt
-				opt.Parallelism = par
 				if par > 1 {
-					opt.ParallelThreshold = -1 // measure the real parallel path
+					// steal bypasses the size gate: measure the real parallel path
+					opt.Search = &core.SearchOptions{Parallelism: par, Mode: core.SearchSteal}
 				}
 				var nodes, pivots int
 				for n := 0; n < b.N; n++ {

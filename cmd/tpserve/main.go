@@ -61,7 +61,7 @@ func main() {
 		queue    = flag.Int("queue", 0, "queued-job limit (0 = default)")
 		cache    = flag.Int("cache", 0, "result-cache entries (0 = default, -1 disables)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "default per-solve time limit")
-		parallel = flag.Int("parallel", 0, "branch-and-bound workers per solve (0 = serial)")
+		parallel = flag.Int("parallel", 0, "branch-and-bound workers per solve when a request sets no options.search.parallelism (0 = serial)")
 		stall    = flag.Duration("stall-window", 0, "gap-stall watchdog window (0 disables)")
 		spans    = flag.String("spans", "", "append finished spans to this NDJSON file")
 		blackbox = flag.String("blackbox", "", "write black-box anomaly dumps into this directory")

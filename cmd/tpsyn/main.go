@@ -47,7 +47,7 @@ func main() {
 		perProd  = flag.Bool("wperproduct", false, "exact per-product w linearization (eqs. 4-5)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "solver time limit (matches the tpserve default)")
 		parallel = flag.Int("parallel", 0, "branch-and-bound workers (0 or 1 = serial)")
-		mode     = flag.String("search-mode", "auto", "parallel search mode: auto, serial, steal or portfolio")
+		mode     = flag.String("search-mode", "auto", "parallel search mode: auto, serial or steal")
 		cuts     = flag.String("cuts", "auto", "root cut strengthening (Gomory + cover): auto, on or off")
 		dive     = flag.String("dive", "auto", "root diving heuristic for an early incumbent: auto, on or off")
 		traceOut = flag.String("trace", "", "stream solver events as NDJSON to this file (- for stderr)")
@@ -92,14 +92,13 @@ func main() {
 		Tightened:   !*loose,
 		WPerProduct: *perProd,
 		TimeLimit:   *timeout,
-		Parallelism: *parallel,
 		Certify:     *certify,
 	}
 	opt.Linearization, err = core.ParseLinearization(*lin)
 	fail(err)
-	opt.Branch, err = core.ParseBranchRule(*branch)
+	search := core.SearchOptions{Parallelism: *parallel}
+	search.Branch, err = core.ParseBranchRule(*branch)
 	fail(err)
-	search := core.SearchOptions{}
 	search.Mode, err = core.ParseSearchMode(*mode)
 	fail(err)
 	search.Cuts, err = core.ParseToggle(*cuts)

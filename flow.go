@@ -11,8 +11,8 @@ import (
 )
 
 // FlowOptions configure the one-call end-to-end flow. The embedded
-// canonical Options carry the solver knobs (L, Linearization, Branch,
-// TimeLimit, Parallelism, Trace, ...); N is overridden by the flow's
+// canonical Options carry the solver knobs (L, Linearization,
+// TimeLimit, Search, Trace, ...); N is overridden by the flow's
 // own widening loop, and Tightened plus ExactSweep are forced on for
 // every attempt. TimeLimit bounds each attempt (default 60 s).
 type FlowOptions struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -89,7 +90,8 @@ func TestBranchRulesAgree(t *testing.T) {
 		var comm [3]int
 		var feas [3]bool
 		for bi, rule := range []BranchRule{BranchPaper, BranchFirstFrac, BranchMostFrac} {
-			res, err := SolveInstance(inst, Options{N: 2, L: 1, Tightened: true, Branch: rule})
+			res, err := SolveInstance(inst, Options{N: 2, L: 1, Tightened: true,
+				Search: &SearchOptions{Branch: rule}})
 			if err != nil {
 				t.Fatalf("seed %d rule %v: %v", seed, rule, err)
 			}
@@ -149,7 +151,7 @@ func TestFigure3Semantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := m.Solve()
+	res, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

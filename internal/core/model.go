@@ -65,7 +65,7 @@ type Model struct {
 	// cold solve).
 	warm *Warm
 	// probeCache memoizes exact-schedule results per task assignment.
-	// Guarded by probeMu: under Options.Parallelism > 1 every branch-
+	// Guarded by probeMu: under Search.Parallelism > 1 every branch-
 	// and-bound worker probes (and branches) concurrently. Concurrent
 	// misses may duplicate an exact-schedule run for the same
 	// assignment; the cache stays consistent and the extra work is

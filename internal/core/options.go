@@ -197,8 +197,6 @@ type Options struct {
 	// Multicycle honors FU latencies greater than one control step
 	// (the paper's Gebotys/OSCAR-style extension).
 	Multicycle bool `json:"multicycle,omitempty"`
-	// Branch selects the branching rule.
-	Branch BranchRule `json:"branch,omitempty"`
 	// ExactSweep enumerates task assignments (cost-ordered, pruned)
 	// and certifies each with the exact scheduler before branch and
 	// bound; when every candidate resolves, optimality is proved
@@ -226,21 +224,6 @@ type Options struct {
 	// part of the wire form: the service expresses it as
 	// time_limit_ms so JSON clients never deal in nanoseconds.
 	TimeLimit time.Duration `json:"-"`
-	// Parallelism sets the number of branch-and-bound workers for the
-	// MILP search (milp.Options.Parallelism). 0 or 1 keeps the serial,
-	// deterministic search; higher values split the tree across that
-	// many goroutines over cloned LP solvers with a shared incumbent.
-	// The optimum and its feasibility are identical either way — only
-	// node/pivot counts and runtime change.
-	Parallelism int `json:"parallelism,omitempty"`
-	// ParallelThreshold gates Parallelism behind the root-size estimate
-	// of milp.Options.ParallelThreshold: instances whose root tableau
-	// falls under the threshold run serially even when Parallelism > 1
-	// (the decision is emitted as a "plan" trace event). 0 applies
-	// milp.DefaultParallelThreshold; negative disables the gate. Ignored
-	// by the service's canonical cache key — like Parallelism, it cannot
-	// change the reported solution.
-	ParallelThreshold int `json:"parallel_threshold,omitempty"`
 	// LPEngine selects the LP engine for the branch-and-bound
 	// relaxations: "" or "auto" applies the density × size heuristic of
 	// lp.ChooseEngine (sparse revised simplex for large sparse models,
@@ -249,12 +232,10 @@ type Options struct {
 	// agree on verdicts (differentially fuzzed) but not on pivot counts
 	// or runtimes, so a forced-engine job is its own cache entry.
 	LPEngine string `json:"lp_engine,omitempty"`
-	// Search groups every branch-and-bound search knob (workers, gate
-	// threshold, mode, branching rule, root cuts, diving) into one
-	// object, serialized as options.search. Nil keeps the legacy flat
-	// fields (Parallelism, ParallelThreshold, Branch) in charge; when
-	// set, its non-zero fields override the flat ones — see
-	// EffectiveSearch for the exact merge.
+	// Search groups every branch-and-bound search knob (workers, mode,
+	// branching rule, root cuts, diving) into one object, serialized as
+	// options.search. Nil is the zero SearchOptions: the paper's
+	// branching rule in a serial search.
 	Search *SearchOptions `json:"search,omitempty"`
 	// Certify enables the exact-arithmetic audit mode: the MILP verdict
 	// is re-verified in rational arithmetic (internal/exact) and the
@@ -309,9 +290,6 @@ func (o Options) Validate() error {
 	if o.Linearization < LinGlover || o.Linearization > LinFortet {
 		return fmt.Errorf("core: unknown linearization %d", o.Linearization)
 	}
-	if o.Branch < BranchPaper || o.Branch > BranchMostFrac {
-		return fmt.Errorf("core: unknown branch rule %d", o.Branch)
-	}
 	if o.Cuts > CutsAll {
 		return fmt.Errorf("core: unknown cut families in mask %#x", o.Cuts)
 	}
@@ -320,9 +298,6 @@ func (o Options) Validate() error {
 	}
 	if o.TimeLimit < 0 {
 		return fmt.Errorf("core: negative time limit %v", o.TimeLimit)
-	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("core: negative parallelism %d", o.Parallelism)
 	}
 	if _, err := lp.ParseEngine(o.LPEngine); err != nil {
 		return err

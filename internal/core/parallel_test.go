@@ -47,8 +47,8 @@ func TestParallelMatchesSerialOnBenchmarks(t *testing.T) {
 					t.Fatal(err)
 				}
 				popt := opt
-				popt.Parallelism = 4
-				popt.ParallelThreshold = -1 // actually exercise the workers
+				// steal bypasses the size gate, so the workers really run
+				popt.Search = &SearchOptions{Parallelism: 4, Mode: SearchSteal}
 				par, err := SolveInstance(inst, popt)
 				if err != nil {
 					t.Fatal(err)

@@ -21,9 +21,6 @@ const (
 	// SearchSteal forces the work-stealing node pool, bypassing the
 	// size gate.
 	SearchSteal
-	// SearchPortfolio races one complete search per worker, each with a
-	// different branching strategy, sharing incumbents.
-	SearchPortfolio
 )
 
 func (m SearchMode) String() string {
@@ -32,8 +29,6 @@ func (m SearchMode) String() string {
 		return "serial"
 	case SearchSteal:
 		return "steal"
-	case SearchPortfolio:
-		return "portfolio"
 	default:
 		return "auto"
 	}
@@ -48,10 +43,8 @@ func ParseSearchMode(s string) (SearchMode, error) {
 		return SearchSerial, nil
 	case "steal":
 		return SearchSteal, nil
-	case "portfolio":
-		return SearchPortfolio, nil
 	}
-	return 0, fmt.Errorf("core: unknown search mode %q (want auto, serial, steal or portfolio)", s)
+	return 0, fmt.Errorf("core: unknown search mode %q (want auto, serial or steal)", s)
 }
 
 // MarshalJSON encodes the search mode by name.
@@ -63,7 +56,7 @@ func (m SearchMode) MarshalJSON() ([]byte, error) {
 func (m *SearchMode) UnmarshalJSON(data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
-		if n, nerr := strconv.Atoi(string(data)); nerr == nil && n >= 0 && n <= int(SearchPortfolio) {
+		if n, nerr := strconv.Atoi(string(data)); nerr == nil && n >= 0 && n <= int(SearchSteal) {
 			*m = SearchMode(n)
 			return nil
 		}
@@ -140,23 +133,24 @@ func (t *Toggle) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SearchOptions consolidates every branch-and-bound search knob into
-// one embeddable group, serialized as the "search" object of the wire
-// form. The legacy flat fields of Options (Parallelism,
-// ParallelThreshold, Branch) keep working: EffectiveSearch merges the
-// two, with explicit SearchOptions fields winning over the flat ones.
+// SearchOptions groups every branch-and-bound search knob, serialized
+// as the "search" object of the wire form. The zero value is the
+// paper's search: its branching rule, serial, no root strengthening.
 type SearchOptions struct {
-	// Parallelism is the worker count; see Options.Parallelism. 0
-	// inherits the flat field (which itself defaults to serial).
+	// Parallelism sets the number of branch-and-bound workers
+	// (milp.Options.Parallelism). 0 or 1 keeps the serial,
+	// deterministic search; higher values share the tree across that
+	// many goroutines over cloned LP solvers with a shared incumbent.
+	// The optimum and its feasibility are identical either way — only
+	// node/pivot counts and runtime change — so the service's canonical
+	// cache key ignores it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Threshold gates parallel modes by root size; see
-	// Options.ParallelThreshold. 0 inherits the flat field.
-	Threshold int `json:"threshold,omitempty"`
-	// Mode picks serial, work-stealing or portfolio search; auto (the
-	// zero value) lets the size gate decide.
+	// Mode picks serial or work-stealing search; auto (the zero value)
+	// lets the root-size gate (milp.DefaultParallelThreshold) decide,
+	// and an explicit steal bypasses the gate.
 	Mode SearchMode `json:"mode,omitempty"`
-	// Branch selects the branching rule; the zero value (the paper's
-	// rule, BranchPaper) inherits the flat Options.Branch.
+	// Branch selects the branching rule; the zero value is the paper's
+	// rule, BranchPaper.
 	Branch BranchRule `json:"branch,omitempty"`
 	// Cuts controls root-node cut strengthening (Gomory + cover cuts).
 	// Auto enables it for parallel searches.
@@ -171,7 +165,7 @@ func (s SearchOptions) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("core: negative search parallelism %d", s.Parallelism)
 	}
-	if s.Mode < SearchAuto || s.Mode > SearchPortfolio {
+	if s.Mode < SearchAuto || s.Mode > SearchSteal {
 		return fmt.Errorf("core: unknown search mode %d", s.Mode)
 	}
 	if s.Branch < BranchPaper || s.Branch > BranchMostFrac {
@@ -184,39 +178,4 @@ func (s SearchOptions) Validate() error {
 		return fmt.Errorf("core: unknown dive toggle %d", s.Dive)
 	}
 	return nil
-}
-
-// EffectiveSearch resolves the final search configuration: the legacy
-// flat fields (Parallelism, ParallelThreshold, Branch) seed the
-// result, then any explicitly-set field of Options.Search overrides
-// its flat counterpart. A zero SearchOptions field means "inherit the
-// flat knob", so existing callers and stored request bodies keep their
-// exact behavior.
-func (o Options) EffectiveSearch() SearchOptions {
-	eff := SearchOptions{
-		Parallelism: o.Parallelism,
-		Threshold:   o.ParallelThreshold,
-		Branch:      o.Branch,
-	}
-	if s := o.Search; s != nil {
-		if s.Parallelism != 0 {
-			eff.Parallelism = s.Parallelism
-		}
-		if s.Threshold != 0 {
-			eff.Threshold = s.Threshold
-		}
-		if s.Mode != SearchAuto {
-			eff.Mode = s.Mode
-		}
-		if s.Branch != BranchPaper {
-			eff.Branch = s.Branch
-		}
-		if s.Cuts != ToggleAuto {
-			eff.Cuts = s.Cuts
-		}
-		if s.Dive != ToggleAuto {
-			eff.Dive = s.Dive
-		}
-	}
-	return eff
 }

@@ -5,57 +5,6 @@ import (
 	"testing"
 )
 
-// TestEffectiveSearchLegacyMapping pins the backward-compatibility
-// contract: the legacy flat knobs and the consolidated search object
-// resolve to the same effective configuration, and explicit search
-// fields win over flat ones.
-func TestEffectiveSearchLegacyMapping(t *testing.T) {
-	cases := []struct {
-		name string
-		opt  Options
-		want SearchOptions
-	}{
-		{
-			name: "zero options stay serial-auto",
-			opt:  Options{},
-			want: SearchOptions{},
-		},
-		{
-			name: "flat fields seed the effective search",
-			opt:  Options{Parallelism: 4, ParallelThreshold: -1, Branch: BranchMostFrac},
-			want: SearchOptions{Parallelism: 4, Threshold: -1, Branch: BranchMostFrac},
-		},
-		{
-			name: "search object alone",
-			opt: Options{Search: &SearchOptions{
-				Parallelism: 3, Mode: SearchPortfolio, Cuts: ToggleOn, Dive: ToggleOff,
-			}},
-			want: SearchOptions{Parallelism: 3, Mode: SearchPortfolio, Cuts: ToggleOn, Dive: ToggleOff},
-		},
-		{
-			name: "search overrides flat where set, inherits where zero",
-			opt: Options{
-				Parallelism: 2, ParallelThreshold: 500, Branch: BranchFirstFrac,
-				Search: &SearchOptions{Parallelism: 8, Mode: SearchSteal},
-			},
-			want: SearchOptions{Parallelism: 8, Threshold: 500, Mode: SearchSteal, Branch: BranchFirstFrac},
-		},
-		{
-			name: "empty search object inherits every flat field",
-			opt: Options{
-				Parallelism: 6, ParallelThreshold: 42, Branch: BranchMostFrac,
-				Search: &SearchOptions{},
-			},
-			want: SearchOptions{Parallelism: 6, Threshold: 42, Branch: BranchMostFrac},
-		},
-	}
-	for _, tc := range cases {
-		if got := tc.opt.EffectiveSearch(); got != tc.want {
-			t.Errorf("%s: EffectiveSearch() = %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestSearchOptionsJSONRoundTrip: the wire form serializes enums by
 // name and omits zero fields, and both names and numeric enum values
 // decode.
@@ -81,10 +30,10 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 	}
 	// names and numerics both decode
 	var fromNames SearchOptions
-	if err := json.Unmarshal([]byte(`{"mode":"portfolio","cuts":"off","dive":"auto"}`), &fromNames); err != nil {
+	if err := json.Unmarshal([]byte(`{"mode":"serial","cuts":"off","dive":"auto"}`), &fromNames); err != nil {
 		t.Fatal(err)
 	}
-	if fromNames.Mode != SearchPortfolio || fromNames.Cuts != ToggleOff || fromNames.Dive != ToggleAuto {
+	if fromNames.Mode != SearchSerial || fromNames.Cuts != ToggleOff || fromNames.Dive != ToggleAuto {
 		t.Fatalf("name decode = %+v", fromNames)
 	}
 	var fromNums SearchOptions
@@ -94,8 +43,13 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 	if fromNums.Mode != SearchSteal || fromNums.Cuts != ToggleOn {
 		t.Fatalf("numeric decode = %+v", fromNums)
 	}
-	if _, err := ParseSearchMode("warp"); err == nil {
-		t.Fatal("ParseSearchMode accepted garbage")
+	for _, bad := range []string{"warp", "portfolio"} {
+		if _, err := ParseSearchMode(bad); err == nil {
+			t.Fatalf("ParseSearchMode accepted %q", bad)
+		}
+	}
+	if err := json.Unmarshal([]byte(`{"mode":3}`), &fromNums); err == nil {
+		t.Fatal("numeric decode accepted a mode past steal")
 	}
 	if _, err := ParseToggle("maybe"); err == nil {
 		t.Fatal("ParseToggle accepted garbage")
@@ -105,7 +59,7 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 // TestSearchOptionsValidate: Options.Validate must reject out-of-range
 // search fields through the embedded group.
 func TestSearchOptionsValidate(t *testing.T) {
-	good := Options{Search: &SearchOptions{Parallelism: 2, Mode: SearchPortfolio}}
+	good := Options{Search: &SearchOptions{Parallelism: 2, Mode: SearchSteal}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid search options rejected: %v", err)
 	}

@@ -52,12 +52,12 @@ type Result struct {
 	// (exact-sweep early exit, presolve-proved infeasibility).
 	LPEngine string
 	// SearchMode names the branch-and-bound scheduling mode that
-	// actually ran ("serial", "steal" or "portfolio") — the resolution
+	// actually ran ("serial" or "steal") — the resolution
 	// of the search options' auto mode and size gate. Empty on paths
 	// that never enter the MILP search.
 	SearchMode string
 	// Steals counts work-stealing transfers between workers (zero for
-	// serial and portfolio searches).
+	// serial searches).
 	Steals int64
 	// CutsApplied is the number of root cutting planes (Gomory + cover)
 	// that survived separation and strengthened the root relaxation.
@@ -74,22 +74,13 @@ type Result struct {
 	TimeToProof time.Duration
 }
 
-// Solve runs branch and bound on the generated model with the
+// SolveContext runs branch and bound on the generated model with the
 // configured branching rule, then extracts and verifies the solution.
-//
-// Deprecated: use SolveContext, which supports cancellation and is the
-// single solve entry point; Solve remains as a convenience delegate
-// with a background context.
-func (m *Model) Solve() (*Result, error) {
-	return m.SolveContext(context.Background())
-}
-
-// SolveContext runs the solve under a context: cancellation
-// cooperatively stops the exact sweep, the node probes and the
-// branch-and-bound pivot loops, returning a Result with Cancelled set
-// (and the best incumbent found so far, when one exists) rather than
-// running to completion. A terminal result event is emitted on
-// Options.Trace when tracing is on.
+// Cancelling ctx cooperatively stops the exact sweep, the node probes
+// and the branch-and-bound pivot loops, returning a Result with
+// Cancelled set (and the best incumbent found so far, when one exists)
+// rather than running to completion. A terminal result event is
+// emitted on Options.Trace when tracing is on.
 func (m *Model) SolveContext(ctx context.Context) (*Result, error) {
 	res, err := m.solveContext(ctx)
 	if err == nil && res != nil {
@@ -110,9 +101,12 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	// ever branches on them.
 	decision := append(append(append([]int{}, m.tierY...), m.tierU...), m.tierX...)
 	sort.Ints(decision)
-	eff := m.Opt.EffectiveSearch()
+	var search SearchOptions
+	if m.Opt.Search != nil {
+		search = *m.Opt.Search
+	}
 	var brancher milp.Brancher
-	switch eff.Branch {
+	switch search.Branch {
 	case BranchFirstFrac:
 		brancher = milp.FirstFractional(decision)
 	case BranchMostFrac:
@@ -133,34 +127,33 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	mopt := milp.Options{
-		Engine:            engine,
-		IntVars:           m.intVars,
-		Brancher:          brancher,
-		ObjIntegral:       true,
-		MaxNodes:          m.Opt.MaxNodes,
-		TimeLimit:         m.Opt.TimeLimit,
-		Complete:          m.complete,
-		Parallelism:       eff.Parallelism,
-		ParallelThreshold: eff.Threshold,
-		Mode:              searchModeToMILP(eff.Mode),
-		Trace:             m.Opt.Trace,
-		Record:            m.Opt.Record,
-		Profile:           m.Opt.Profile,
-		Certify:           m.Opt.Certify,
-		Span:              m.Opt.Span,
-		BlackBox:          m.Opt.BlackBox,
-		Status:            m.Opt.Status,
-		PanicNode:         m.Opt.PanicNode,
-		NodeDelay:         m.Opt.NodeDelay,
+		Engine:      engine,
+		IntVars:     m.intVars,
+		Brancher:    brancher,
+		ObjIntegral: true,
+		MaxNodes:    m.Opt.MaxNodes,
+		TimeLimit:   m.Opt.TimeLimit,
+		Complete:    m.complete,
+		Parallelism: search.Parallelism,
+		Mode:        searchModeToMILP(search.Mode),
+		Trace:       m.Opt.Trace,
+		Record:      m.Opt.Record,
+		Profile:     m.Opt.Profile,
+		Certify:     m.Opt.Certify,
+		Span:        m.Opt.Span,
+		BlackBox:    m.Opt.BlackBox,
+		Status:      m.Opt.Status,
+		PanicNode:   m.Opt.PanicNode,
+		NodeDelay:   m.Opt.NodeDelay,
 	}
 	// Root strengthening: explicit toggles win; auto enables the cuts
 	// and the dive exactly when a parallel search was requested (they
 	// exist to shrink the shared tree and seed the shared incumbent,
 	// and keeping serial solves bit-identical to the paper's algorithm
 	// matters more than a marginal serial speedup).
-	autoStrength := eff.Parallelism > 1 && eff.Mode != SearchSerial && m.warm == nil
-	mopt.RootCuts = eff.Cuts == ToggleOn || (eff.Cuts == ToggleAuto && autoStrength)
-	mopt.Dive = eff.Dive == ToggleOn || (eff.Dive == ToggleAuto && autoStrength)
+	autoStrength := search.Parallelism > 1 && search.Mode != SearchSerial && m.warm == nil
+	mopt.RootCuts = search.Cuts == ToggleOn || (search.Cuts == ToggleAuto && autoStrength)
+	mopt.Dive = search.Dive == ToggleOn || (search.Dive == ToggleAuto && autoStrength)
 	if !m.Opt.DisableProbe {
 		mopt.Probe = m.probe
 	}
@@ -297,8 +290,6 @@ func searchModeToMILP(m SearchMode) milp.SearchMode {
 		return milp.ModeSerial
 	case SearchSteal:
 		return milp.ModeSteal
-	case SearchPortfolio:
-		return milp.ModePortfolio
 	default:
 		return milp.ModeAuto
 	}

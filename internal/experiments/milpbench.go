@@ -37,8 +37,8 @@ type MILPRunStats struct {
 	Comm         int     `json:"comm"`
 	Feasible     bool    `json:"feasible"`
 	Optimal      bool    `json:"optimal"`
-	// Mode names the search mode the solve resolved to ("serial",
-	// "steal", "portfolio"); the parallel legs of the suite request the
+	// Mode names the search mode the solve resolved to ("serial" or
+	// "steal"); the parallel legs of the suite request the
 	// work-stealing pool explicitly.
 	Mode string `json:"mode,omitempty"`
 	// Steals counts work transfers between the pool's workers.
@@ -124,17 +124,16 @@ func MILPBench() ([]MILPBenchEntry, error) {
 }
 
 // runMILPEntry solves one entry at the given parallelism. The parallel
-// leg disables the root-size gate and requests the work-stealing mode
-// with root strengthening: the suite exists to measure the true
-// serial-vs-parallel cost (including the overhead the gate hides), so
-// a gated fallback would silently benchmark serial against serial.
+// leg requests the work-stealing mode explicitly, which bypasses the
+// root-size gate, with root strengthening: the suite exists to measure
+// the true serial-vs-parallel cost (including the overhead the gate
+// hides), so a gated fallback would silently benchmark serial against
+// serial.
 func runMILPEntry(e MILPBenchEntry, parallelism int) (MILPRunStats, error) {
 	opt := e.Opt
-	opt.Parallelism = parallelism
 	if parallelism > 1 {
 		opt.Search = &core.SearchOptions{
 			Parallelism: parallelism,
-			Threshold:   -1,
 			Mode:        core.SearchSteal,
 			Cuts:        core.ToggleOn,
 			Dive:        core.ToggleOn,

@@ -19,7 +19,7 @@ func Table1() []Row {
 		// the preliminary experiments predate the branching heuristic,
 		// and the probe is this reproduction's addition: both off for
 		// a paper-faithful baseline
-		rows[i].Opt.Branch = core.BranchFirstFrac
+		rows[i].Opt.Search = &core.SearchOptions{Branch: core.BranchFirstFrac}
 		rows[i].Opt.DisableProbe = true
 	}
 	return rows
@@ -33,7 +33,7 @@ func Table2() []Row {
 	for i := range rows {
 		rows[i].Label = fmt.Sprintf("T2 tight g%d N%d L%d", rows[i].GraphNum, rows[i].N, rows[i].L)
 		rows[i].Opt.Tightened = true
-		rows[i].Opt.Branch = core.BranchFirstFrac
+		rows[i].Opt.Search = &core.SearchOptions{Branch: core.BranchFirstFrac}
 		rows[i].Opt.DisableProbe = true
 	}
 	return rows
@@ -69,7 +69,7 @@ func Table3() []Row {
 		rows = append(rows, Row{
 			Label:    fmt.Sprintf("T3 g1 N%d L%d", cfg.N, cfg.L),
 			GraphNum: 1, N: cfg.N, L: cfg.L, A: 2, M: 2, S: 1,
-			Opt: core.Options{Tightened: true, Branch: core.BranchPaper, ExactSweep: true},
+			Opt: core.Options{Tightened: true, ExactSweep: true},
 		})
 	}
 	return rows
@@ -97,7 +97,7 @@ func Table4() []Row {
 		rows = append(rows, Row{
 			Label:    fmt.Sprintf("T4 g%d N%d L%d", c.g, c.n, c.l),
 			GraphNum: c.g, N: c.n, L: c.l, A: c.a, M: c.m, S: c.s,
-			Opt: core.Options{Tightened: true, Branch: core.BranchPaper, ExactSweep: true},
+			Opt: core.Options{Tightened: true, ExactSweep: true},
 		})
 	}
 	return rows
@@ -135,7 +135,8 @@ func AblationBranching() []Row {
 				// probe off so the rows measure the LP-driven search the
 				// rules actually steer; primed so all rules chase the
 				// same incumbent
-				Opt: core.Options{Tightened: true, Branch: br, PrimeHeuristic: true, DisableProbe: true},
+				Opt: core.Options{Tightened: true, PrimeHeuristic: true, DisableProbe: true,
+					Search: &core.SearchOptions{Branch: br}},
 			})
 		}
 	}
@@ -159,7 +160,7 @@ func AblationTightening() []Row {
 		rows = append(rows, Row{
 			Label:    "tighten " + c.label,
 			GraphNum: 1, N: 3, L: 3, A: 2, M: 2, S: 1,
-			Opt: core.Options{Tightened: true, Cuts: c.cuts, Branch: core.BranchPaper, PrimeHeuristic: true},
+			Opt: core.Options{Tightened: true, Cuts: c.cuts, PrimeHeuristic: true},
 		})
 	}
 	return rows

@@ -51,8 +51,8 @@ func (s *solver) attachCertificate(p *lp.Problem, res *Result, rw rootWitness) {
 	if !c.Valid && s.bb != nil {
 		// A failed certification is exactly the anomaly the black box
 		// exists for: the verdict is suspect, keep the recent history.
-		s.bb.Record(trace.BBEvent{Kind: trace.BBCertify, Msg: "certificate invalid: " + c.Summary()})
-		s.bb.Flush("certify-failed")
+		s.bb.Flush("certify-failed", trace.BBEvent{Kind: trace.BBCertify,
+			Msg: "certificate invalid: " + c.Summary()})
 	}
 }
 

@@ -170,7 +170,7 @@ func TestCertifyParallelMatchesSerial(t *testing.T) {
 	}
 	pp, cp := build()
 	par, err := Solve(pp, Options{IntVars: cp, ObjIntegral: true, Certify: true,
-		Parallelism: 4, ParallelThreshold: 0})
+		Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

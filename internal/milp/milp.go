@@ -84,8 +84,8 @@ type SearchMode int
 
 const (
 	// ModeAuto lets the solver pick: the root-size gate (see
-	// ParallelThreshold) decides between the serial search and the
-	// work-stealing pool.
+	// DefaultParallelThreshold) decides between the serial search and
+	// the work-stealing pool.
 	ModeAuto SearchMode = iota
 	// ModeSerial forces the serial depth-first search regardless of
 	// Parallelism.
@@ -93,10 +93,6 @@ const (
 	// ModeSteal runs the work-stealing node pool: per-worker deques,
 	// adaptive second-child donation, best-bound victim selection.
 	ModeSteal
-	// ModePortfolio races Parallelism complete searches with diverse
-	// branching strategies over the same tree, sharing incumbents; the
-	// first to exhaust its pruned tree proves the verdict.
-	ModePortfolio
 )
 
 func (m SearchMode) String() string {
@@ -105,8 +101,6 @@ func (m SearchMode) String() string {
 		return "serial"
 	case ModeSteal:
 		return "steal"
-	case ModePortfolio:
-		return "portfolio"
 	default:
 		return "auto"
 	}
@@ -241,22 +235,12 @@ type Options struct {
 	// actually ran is reported in Result.LPEngine and on the terminal
 	// status trace event.
 	Engine lp.Engine
-	// ParallelThreshold gates Parallelism behind a cheap root-size
-	// estimate: when the root tableau has fewer than this many cells
-	// (rows × (rows + columns)), or GOMAXPROCS < 2, or the root LP has
-	// too few fractional integers to split a meaningful tree, the solve
-	// falls back to the serial search — measurements (BENCH_milp.json)
-	// show the clone/split overhead hurting small instances. The
-	// decision either way is emitted as a "plan" trace event. 0 means
-	// DefaultParallelThreshold; negative disables the gate entirely so
-	// a parallel request is always honored.
-	ParallelThreshold int
 	// Mode selects the parallel scheduler. The zero value ModeAuto
-	// applies the ParallelThreshold gate and picks work-stealing;
-	// ModeSteal and ModePortfolio bypass the gate (an explicit request
-	// is honored, like a negative ParallelThreshold); ModeSerial forces
-	// the serial search. Ignored when Parallelism <= 1. The resolved
-	// mode is reported in Result.Mode and on the "plan" trace event.
+	// applies the root-size gate (see DefaultParallelThreshold) and
+	// picks work-stealing; ModeSteal bypasses the gate (an explicit
+	// request is honored); ModeSerial forces the serial search. Ignored
+	// when Parallelism <= 1. The resolved mode is reported in
+	// Result.Mode and on the "plan" trace event.
 	Mode SearchMode
 	// RootCuts enables root-node strengthening: cover cuts separated
 	// from the row data plus Gomory fractional cuts from the optimal
@@ -354,6 +338,11 @@ const (
 	reasonTime             // deadline or LP iteration cap
 	reasonNodes            // Options.MaxNodes
 	reasonCtx              // context cancelled by the caller
+	// reasonPanic is raised when a worker goroutine panicked and was
+	// recovered (see shared.recordPanic): the search stops everywhere
+	// and SolveContext converts the solve into an error, so it never
+	// surfaces as a Result status.
+	reasonPanic
 )
 
 // solver is the per-goroutine search state: the serial solve uses one,
@@ -374,9 +363,11 @@ type solver struct {
 
 	// Observability state. rec/prof mirror Options.Record/Profile after
 	// SolveContext resolves the record-implies-profile rule; both are
-	// shared across parallel workers. curNode is the recorder id of the
-	// node this goroutine is currently exploring, so incumbent installs
-	// from candidate hooks can be attributed to the right node.
+	// shared across parallel workers. curNode is the global index of
+	// the node this goroutine is currently exploring, so incumbent
+	// installs from candidate hooks and recovered panics are attributed
+	// to the right node (the shared node counter has moved on by then
+	// under a parallel search).
 	rec     *trace.Recorder
 	prof    *trace.Profile
 	curNode int64
@@ -552,8 +543,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 			reason = "cancelled"
 		}
 		if s.bb != nil {
-			s.bb.Record(trace.BBEvent{Kind: trace.BBDeadline, Msg: "root LP stopped: " + reason})
-			s.bb.Flush(reason)
+			s.bb.Flush(reason, trace.BBEvent{Kind: trace.BBDeadline, Msg: "root LP stopped: " + reason})
 		}
 		res.Runtime = time.Since(start)
 		res.LPIterations = lps.Iterations
@@ -619,7 +609,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	res.Mode = mode
 	if opt.Status != nil {
 		nw := 1
-		if mode == ModeSteal || mode == ModePortfolio {
+		if mode == ModeSteal {
 			nw = opt.Parallelism
 		}
 		opt.Status.attach(&liveSearch{sh: s.sh, mode: mode, workers: nw, start: start})
@@ -639,8 +629,6 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	switch mode {
 	case ModeSteal:
 		s.solveSteal(res, rootMeta)
-	case ModePortfolio:
-		s.solvePortfolio(rootMeta)
 	default:
 		s.sh.setPhase(0, wpSearch)
 		s.guard(func() { s.branch(lp.StatusOptimal, 0, rootMeta) })
@@ -698,9 +686,8 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		if s.reason == reasonCtx {
 			reason = "cancelled"
 		}
-		s.bb.Record(trace.BBEvent{Kind: trace.BBDeadline, Node: int64(res.Nodes),
+		s.bb.Flush(reason, trace.BBEvent{Kind: trace.BBDeadline, Node: int64(res.Nodes),
 			Incumbent: incObj, Bound: res.BestBound, Msg: "search stopped: " + reason})
-		s.bb.Flush(reason)
 	}
 	if res.Status == StatusOptimal || res.Status == StatusInfeasible {
 		res.TimeToProof = res.Runtime
@@ -792,6 +779,7 @@ func (s *solver) bound(z float64) float64 {
 func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 	s.local++
 	total := s.sh.nodes.Add(1)
+	s.curNode = total
 	if s.rec != nil {
 		nr := trace.NodeRec{
 			ID: total, Parent: meta.parent, Worker: int32(s.worker),
@@ -808,7 +796,6 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 			nr.Obj, nr.HasObj = s.lps.Objective(), true
 		}
 		s.rec.Node(nr)
-		s.curNode = total
 	}
 	if s.bb != nil {
 		e := trace.BBEvent{Kind: trace.BBNode, Node: total, Worker: s.worker,
@@ -1066,8 +1053,8 @@ func (s *solver) acceptCandidate(xc []float64, nodeBound float64, inNode bool) b
 
 // DefaultParallelThreshold is the root-tableau cell count — rows times
 // (rows + columns), the per-pivot work of the dense engine — below
-// which a parallel request falls back to the serial search when
-// Options.ParallelThreshold is 0. Recalibrated for the work-stealing
+// which a ModeAuto parallel request falls back to the serial search
+// (an explicit ModeSteal bypasses the gate). Recalibrated for the work-stealing
 // scheduler, whose fixed overhead (one LP clone per worker, a mutexed
 // pool) is far smaller than the old static split's: instances under
 // this size solve in under a millisecond, where even a clone is not
@@ -1075,10 +1062,9 @@ func (s *solver) acceptCandidate(xc []float64, nodeBound float64, inNode bool) b
 const DefaultParallelThreshold = 1 << 16
 
 // planMode resolves the scheduler for this solve: the serial search
-// for Parallelism <= 1 or an explicit ModeSerial, the requested mode
-// for an explicit ModeSteal/ModePortfolio (an explicit request bypasses
-// the gate, like a negative ParallelThreshold), and the gate's verdict
-// — work-stealing or the serial fallback — for ModeAuto. The returned
+// for Parallelism <= 1 or an explicit ModeSerial, work-stealing for an
+// explicit ModeSteal (an explicit request bypasses the gate), and the
+// gate's verdict — work-stealing or the serial fallback — for ModeAuto. The returned
 // reason is non-empty when a Parallelism > 1 request falls back.
 func (s *solver) planMode() (SearchMode, string) {
 	if s.opt.Parallelism <= 1 {
@@ -1087,8 +1073,8 @@ func (s *solver) planMode() (SearchMode, string) {
 	switch s.opt.Mode {
 	case ModeSerial:
 		return ModeSerial, "serial mode requested"
-	case ModeSteal, ModePortfolio:
-		return s.opt.Mode, ""
+	case ModeSteal:
+		return ModeSteal, ""
 	}
 	if why := s.serialFallback(); why != "" {
 		return ModeSerial, why
@@ -1104,20 +1090,13 @@ func (s *solver) planMode() (SearchMode, string) {
 // pool splits adaptively wherever the tree actually branches, so a
 // thin root no longer matters.
 func (s *solver) serialFallback() string {
-	th := s.opt.ParallelThreshold
-	if th < 0 {
-		return "" // gate disabled
-	}
-	if th == 0 {
-		th = DefaultParallelThreshold
-	}
 	if p := runtime.GOMAXPROCS(0); p < 2 {
 		return fmt.Sprintf("GOMAXPROCS=%d: workers would time-slice one core", p)
 	}
 	m, n := s.prob.NumRows(), s.prob.NumVars()
 	cells := int64(m) * int64(m+n)
-	if cells < int64(th) {
-		return fmt.Sprintf("root tableau %dx%d (%d cells) under threshold %d", m, m+n, cells, th)
+	if cells < DefaultParallelThreshold {
+		return fmt.Sprintf("root tableau %dx%d (%d cells) under threshold %d", m, m+n, cells, DefaultParallelThreshold)
 	}
 	return ""
 }

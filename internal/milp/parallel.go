@@ -33,9 +33,13 @@ type shared struct {
 	// math.Float64bits, seeded with -Inf, raised by the root bound and
 	// by the parallel best-bound aggregation, so streamed bound events
 	// never regress even though per-subtree LP bounds move both ways.
+	// emitMu orders progress events: it makes sampling the shared
+	// figures and emitting them one step, so a worker that sampled an
+	// older bound cannot emit it after another worker's newer one.
 	tr       *trace.Tracer
 	sample   int64
 	dispBits atomic.Uint64
+	emitMu   sync.Mutex
 
 	// First-incumbent bookkeeping for the time-to-first-solution
 	// experiment columns: firstInc flips once, on the first install that
@@ -163,6 +167,8 @@ func (sh *shared) emitProgress(kind trace.Kind, worker, sub int) {
 	if sh.tr == nil {
 		return
 	}
+	sh.emitMu.Lock()
+	defer sh.emitMu.Unlock()
 	e := trace.Event{Kind: kind, Nodes: sh.nodes.Load(), Worker: worker, Subproblem: sub}
 	inc := sh.incumbent()
 	if !math.IsInf(inc, 0) && !math.IsNaN(inc) {
@@ -189,13 +195,13 @@ func (sh *shared) setPhase(worker int, p int32) {
 	sh.wphase[worker].Store(p)
 }
 
-// recordPanic captures a recovered worker panic: the first one wins
-// the terminal error, every one lands in the black box (with the
-// goroutine stack) and the trace, and the black box is flushed so the
-// events leading up to the crash survive. Safe from any worker.
-func (sh *shared) recordPanic(worker int, r any) {
+// recordPanic captures a recovered worker panic at the worker's
+// current node: the first one wins the terminal error, every one lands
+// in the black box (with the goroutine stack) and the trace, and the
+// black box is flushed so the events leading up to the crash survive.
+// Safe from any worker.
+func (sh *shared) recordPanic(worker int, node int64, r any) {
 	msg := fmt.Sprint(r)
-	node := sh.nodes.Load()
 	sh.panicMu.Lock()
 	if sh.panicMsg == "" {
 		sh.panicMsg = msg
@@ -203,10 +209,9 @@ func (sh *shared) recordPanic(worker int, r any) {
 	}
 	sh.panicMu.Unlock()
 	if sh.bb != nil {
-		sh.bb.Record(trace.BBEvent{Kind: trace.BBPanic, Worker: worker, Node: node,
+		sh.bb.Flush("worker-panic", trace.BBEvent{Kind: trace.BBPanic, Worker: worker, Node: node,
 			Incumbent: sh.incumbent(), Bound: sh.displayBound(),
 			Msg: msg + "\n" + string(debug.Stack())})
-		sh.bb.Flush("worker-panic")
 	}
 	if sh.tr != nil {
 		sh.tr.Emit(trace.Event{Kind: trace.KindPanic, Worker: worker, Nodes: node, Msg: msg})
@@ -230,7 +235,7 @@ func (sh *shared) panicked() (msg string, node int64, ok bool) {
 func (w *solver) guard(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.sh.recordPanic(w.worker, r)
+			w.sh.recordPanic(w.worker, w.curNode, r)
 			w.reason = reasonPanic
 			w.sh.requestStop(reasonPanic)
 			if w.pool != nil {

@@ -39,7 +39,7 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := Solve(p2, Options{IntVars: cols2, ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
+		par, err := Solve(p2, Options{IntVars: cols2, ObjIntegral: true, Parallelism: 4, Mode: ModeSteal})
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestParallelProvesInfeasibility(t *testing.T) {
 	// parity trap: the whole tree must be searched to prove there is no
 	// solution, which exercises subproblem hand-off and completion
 	p, cols := parityTrap(13)
-	res, err := Solve(p, Options{IntVars: cols, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestParallelCancelMidSolve(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 4, ParallelThreshold: -1})
+	res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestParallelCancelStress(t *testing.T) {
 				cancel()
 			}(time.Duration(5+3*trial) * time.Millisecond)
 		}
-		res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 4, ParallelThreshold: -1})
+		res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 4, Mode: ModeSteal})
 		wg.Wait()
 		cancel()
 		if err != nil {
@@ -141,7 +141,7 @@ func TestParallelCancelStress(t *testing.T) {
 
 func TestParallelNodeLimitShared(t *testing.T) {
 	p, cols := parityTrap(40)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 200, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 200, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestParallelKeepsIncumbentOnLimit(t *testing.T) {
 		values[i], weights[i] = 3, 3
 	}
 	p, cols := knapsack(values, weights, 25)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 120, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 120, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestParallelKeepsIncumbentOnLimit(t *testing.T) {
 
 func TestParallelTimeLimitBestBound(t *testing.T) {
 	p, cols := parityTrap(40)
-	res, err := Solve(p, Options{IntVars: cols, TimeLimit: 50 * time.Millisecond, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, TimeLimit: 50 * time.Millisecond, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestParallelInitialUpperPrunes(t *testing.T) {
 	p, cols := knapsack(values, weights, 8)
 	// an unbeatable initial upper bound: parallel search must agree with
 	// the serial contract and report infeasible-with-nil-X
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -want - 1, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -want - 1, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestParallelPseudoCostForks(t *testing.T) {
 	want := bruteKnapsack(values, weights, 12)
 	p, cols := knapsack(values, weights, 12)
 	pc := NewPseudoCost(cols)
-	res, err := Solve(p, Options{IntVars: cols, Brancher: pc, ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, Brancher: pc, ObjIntegral: true, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestRecordParallelLineage(t *testing.T) {
 	p, cols := parityTrap(13)
 	rec := trace.NewRecorder(0)
 	res, err := Solve(p, Options{
-		IntVars: cols, Parallelism: 4, ParallelThreshold: -1, Record: rec,
+		IntVars: cols, Parallelism: 4, Mode: ModeSteal, Record: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestParallelGateHonorsLargeRequest(t *testing.T) {
 	p, ints := parityTrap(13)
 	ring := trace.NewRing(1024)
 	tr := trace.New(ring)
-	if _, err := Solve(p, Options{IntVars: ints, Parallelism: 4, ParallelThreshold: -1, Trace: tr}); err != nil {
+	if _, err := Solve(p, Options{IntVars: ints, Parallelism: 4, Mode: ModeSteal, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	sawPlan, sawWorker := false, false

@@ -29,7 +29,7 @@ func TestPropertyStealMatchesSerialWithStrengthening(t *testing.T) {
 			return false
 		}
 		par, err := Solve(p2, Options{IntVars: cols2, ObjIntegral: true,
-			Parallelism: 4, ParallelThreshold: -1, Mode: ModeSteal,
+			Parallelism: 4, Mode: ModeSteal,
 			RootCuts: true, Dive: true})
 		if err != nil {
 			return false
@@ -59,51 +59,6 @@ func TestPropertyStealMatchesSerialWithStrengthening(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministicOptimum runs the portfolio race repeatedly
-// on one instance: the reported optimum must equal the serial one on
-// every run, no matter which seat wins the race.
-func TestPortfolioDeterministicOptimum(t *testing.T) {
-	values := []float64{10, 13, 8, 21, 5, 7, 9, 4, 11, 6, 3, 14}
-	weights := []float64{2, 3, 2, 5, 1, 2, 3, 1, 4, 2, 1, 4}
-	p0, cols0 := knapsack(values, weights, 14)
-	serial, err := Solve(p0, Options{IntVars: cols0, ObjIntegral: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		p, cols := knapsack(values, weights, 14)
-		res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
-			Parallelism: 4, ParallelThreshold: -1, Mode: ModePortfolio})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Mode != ModePortfolio {
-			t.Fatalf("run %d: mode %v, want portfolio", run, res.Mode)
-		}
-		if res.Status != StatusOptimal || math.Abs(res.Objective-serial.Objective) > 1e-9 {
-			t.Fatalf("run %d: status=%v obj=%v, want optimal %v",
-				run, res.Status, res.Objective, serial.Objective)
-		}
-		if err := p.Feasible(res.X, 1e-6); err != nil {
-			t.Fatalf("run %d: incumbent infeasible: %v", run, err)
-		}
-	}
-}
-
-// TestPortfolioProvesInfeasibility: each seat explores the full tree,
-// so the race must also prove pure infeasibility.
-func TestPortfolioProvesInfeasibility(t *testing.T) {
-	p, cols := parityTrap(13)
-	res, err := Solve(p, Options{IntVars: cols, Parallelism: 3,
-		ParallelThreshold: -1, Mode: ModePortfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusInfeasible {
-		t.Fatalf("status = %v, want %v", res.Status, StatusInfeasible)
-	}
-}
-
 // TestStealStormCancel hammers cancellation while many workers donate
 // and steal mid-tree; primarily a -race target for the pool's
 // termination protocol under abort.
@@ -116,7 +71,7 @@ func TestStealStormCancel(t *testing.T) {
 			cancel()
 		}(time.Duration(4+5*trial) * time.Millisecond)
 		res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 8,
-			ParallelThreshold: -1, Mode: ModeSteal})
+			Mode: ModeSteal})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +95,7 @@ func TestStealEmitsStealEvents(t *testing.T) {
 	p, cols := parityTrap(17)
 	ring := trace.NewRing(4096)
 	res, err := Solve(p, Options{IntVars: cols, Parallelism: 4,
-		ParallelThreshold: -1, Mode: ModeSteal, Trace: trace.New(ring)})
+		Mode: ModeSteal, Trace: trace.New(ring)})
 	if err != nil {
 		t.Fatal(err)
 	}

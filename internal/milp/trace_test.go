@@ -112,7 +112,7 @@ func TestTraceEventsParallelMonotoneBound(t *testing.T) {
 	ring := trace.NewRing(1024)
 	tr := trace.New(ring)
 	tr.SetSampleEvery(1)
-	res, err := Solve(p, Options{IntVars: ints, Parallelism: 4, ParallelThreshold: -1, Trace: tr})
+	res, err := Solve(p, Options{IntVars: ints, Parallelism: 4, Mode: ModeSteal, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

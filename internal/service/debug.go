@@ -111,14 +111,13 @@ func (s *Service) watchStall(j *job, tr *trace.Tracer) func() {
 				e.Incumbent = snap.Incumbent
 			}
 			tr.Emit(e)
-			j.bb.Record(trace.BBEvent{
+			j.bb.Flush("stall", trace.BBEvent{
 				Kind:      trace.BBStall,
 				Node:      snap.Nodes,
 				Bound:     snap.Bound,
 				Incumbent: snap.Incumbent,
 				Msg:       "watchdog: bound and incumbent unmoved for " + window.String(),
 			})
-			j.bb.Flush("stall")
 			return
 		}
 	}()

@@ -483,7 +483,8 @@ func (a *api) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, b
 	return &req, true
 }
 
-// decodeJSON decodes a request body under the configured size cap.
+// decodeJSON decodes a request body under the configured size cap;
+// unknown fields are a 400 like any other malformed body.
 // Oversized bodies get the typed 413 envelope; the cap also protects
 // the connection (MaxBytesReader closes it when the limit trips, so a
 // huge upload is not drained for keep-alive).
@@ -491,7 +492,11 @@ func (a *api) decodeJSON(w http.ResponseWriter, r *http.Request, what string, v 
 	if limit := a.s.cfg.MaxBodyBytes; limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// a misspelled or removed field must not silently fall back to a
+	// default (a serial or differently-branched solve, say)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",

@@ -191,6 +191,56 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	check(resp, http.StatusBadRequest, "bad_request")
 }
 
+// TestRemovedOptionSpellingsRejected: a body that still carries a
+// removed search spelling is a typed 400 naming the field, never a
+// solve that silently ignores it; the same body without the field
+// solves.
+func TestRemovedOptionSpellingsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := func(mut func(opts map[string]any)) map[string]any {
+		t.Helper()
+		b, err := json.Marshal(fastRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		mut(m["options"].(map[string]any))
+		return m
+	}
+	for _, tc := range []struct {
+		field string
+		mut   func(opts map[string]any)
+	}{
+		{"parallelism", func(o map[string]any) { o["parallelism"] = 4 }},
+		{"branch", func(o map[string]any) { o["branch"] = "most-fractional" }},
+		{"parallel_threshold", func(o map[string]any) { o["parallel_threshold"] = -1 }},
+		{"threshold", func(o map[string]any) {
+			o["search"] = map[string]any{"parallelism": 2, "threshold": -1}
+		}},
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/solve", body(tc.mut))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.field, resp.StatusCode, data)
+		}
+		var e errorEnvelope
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("%s: decoding envelope: %v", tc.field, err)
+		}
+		if e.Error.Code != "bad_request" || !strings.Contains(e.Error.Message, `unknown field "`+tc.field+`"`) {
+			t.Fatalf("%s: error = %+v, want bad_request naming the field", tc.field, e.Error)
+		}
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/solve", body(func(o map[string]any) {
+		o["search"] = map[string]any{"parallelism": 2, "branch": "most-fractional"}
+	}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("surviving spelling: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 // TestV1MetricsPrometheus checks the text exposition endpoint.
 func TestV1MetricsPrometheus(t *testing.T) {
 	s := New(Config{Workers: 2})

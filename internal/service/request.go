@@ -235,8 +235,13 @@ func (r *Request) compile(defaultTimeout time.Duration, defaultParallelism int) 
 	if r.Options.TimeLimitMS > 0 {
 		opt.TimeLimit = time.Duration(r.Options.TimeLimitMS) * time.Millisecond
 	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = defaultParallelism
+	if defaultParallelism > 0 && (opt.Search == nil || opt.Search.Parallelism == 0) {
+		var search core.SearchOptions
+		if opt.Search != nil {
+			search = *opt.Search // copy: the caller's request stays untouched
+		}
+		search.Parallelism = defaultParallelism
+		opt.Search = &search
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -257,23 +262,20 @@ func (r *Request) compile(defaultTimeout time.Duration, defaultParallelism int) 
 // canonicalKey hashes the full instance identity — graph, exploration
 // set, device parameters (N, L, Ms, C, alpha) and solver options —
 // over canonical serializations, so textual variations of the same
-// request (whitespace, map order) collapse to one key. The search
-// knobs are folded through EffectiveSearch first, so the legacy flat
-// spelling and the options.search spelling of one configuration share
-// a cache entry. Parallelism and Threshold are deliberately excluded:
-// a parallel solve returns the same result as a serial one, so
-// requests differing only in worker count or gating deduplicate. The
-// mode, branch rule and strengthening toggles stay in the key — they
-// cannot change the optimum, but they can change which of several
-// tied optimal assignments is reported.
+// request (whitespace, map order) collapse to one key. A nil search
+// group hashes like the zero one. Search.Parallelism is deliberately
+// excluded: a parallel solve returns the same result as a serial one,
+// so requests differing only in worker count deduplicate. The mode,
+// branch rule and strengthening toggles stay in the key — they cannot
+// change the optimum, but they can change which of several tied
+// optimal assignments is reported.
 func canonicalKey(g *graph.Graph, alloc *library.Allocation, dev library.Device, opt core.Options) string {
-	eff := opt.EffectiveSearch()
-	eff.Parallelism = 0
-	eff.Threshold = 0
+	var search core.SearchOptions
+	if opt.Search != nil {
+		search = *opt.Search
+	}
+	search.Parallelism = 0
 	opt.Search = nil // a pointer: %+v would hash its address
-	opt.Parallelism = 0
-	opt.ParallelThreshold = 0
-	opt.Branch = eff.Branch
 	// per-job observability must not perturb the identity
 	opt.Trace = nil
 	opt.Record = nil
@@ -288,6 +290,6 @@ func canonicalKey(g *graph.Graph, alloc *library.Allocation, dev library.Device,
 	fmt.Fprintf(h, "alloc:%s\n", alloc.String())
 	fmt.Fprintf(h, "device:%s|%d|%g|%d\n", dev.Name, dev.CapacityFG, dev.Alpha, dev.ScratchMem)
 	fmt.Fprintf(h, "options:%+v\n", opt)
-	fmt.Fprintf(h, "search:%+v\n", eff)
+	fmt.Fprintf(h, "search:%+v\n", search)
 	return hex.EncodeToString(h.Sum(nil))
 }

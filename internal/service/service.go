@@ -75,7 +75,7 @@ type Config struct {
 	// evicted first.
 	History int
 	// DefaultParallelism is the branch-and-bound worker count applied
-	// to requests that carry no parallelism of their own; 0 means 1
+	// to requests whose options.search carries none; 0 means 1
 	// (serial search). It does not affect the instance cache key.
 	DefaultParallelism int
 	// StallWindow arms the gap-stall watchdog: a fresh solve whose best

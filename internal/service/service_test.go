@@ -390,7 +390,7 @@ func TestCanonicalKeyIdentity(t *testing.T) {
 	// the same result, so requests differing only in worker count must
 	// share cache entries and singleflight groups.
 	f := fastRequest()
-	f.Options.Parallelism = 4
+	f.Options.Search = &core.SearchOptions{Parallelism: 4}
 	fi, err := f.compile(time.Minute, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -398,28 +398,26 @@ func TestCanonicalKeyIdentity(t *testing.T) {
 	if fi.key != a.key {
 		t.Fatal("parallelism changed the cache key")
 	}
-	if fi.opt.Parallelism != 4 {
-		t.Fatalf("parallelism = %d, want 4", fi.opt.Parallelism)
+	if fi.opt.Search.Parallelism != 4 {
+		t.Fatalf("parallelism = %d, want 4", fi.opt.Search.Parallelism)
 	}
 	// the service default fills an unset request value
 	g, err := fastRequest().compile(time.Minute, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.opt.Parallelism != 3 {
-		t.Fatalf("default parallelism = %d, want 3", g.opt.Parallelism)
+	if g.opt.Search == nil || g.opt.Search.Parallelism != 3 {
+		t.Fatalf("default parallelism = %+v, want 3", g.opt.Search)
 	}
 	if g.key != a.key {
 		t.Fatal("default parallelism changed the cache key")
 	}
 }
 
-// TestCanonicalKeySearchOptions pins the consolidated search group's
-// cache semantics: the legacy flat spelling and the options.search
-// spelling of one configuration share a key, worker count and gate
-// threshold never enter the key no matter which spelling carries them,
-// and the knobs that can change the reported assignment (mode, branch,
-// cuts, dive) do split cache entries.
+// TestCanonicalKeySearchOptions pins the search group's cache
+// semantics: a nil and an empty group share a key, the worker count
+// never enters the key, and the knobs that can change the reported
+// assignment (mode, branch, cuts, dive) do split cache entries.
 func TestCanonicalKeySearchOptions(t *testing.T) {
 	compile := func(mut func(*Request)) *instance {
 		t.Helper()
@@ -433,32 +431,42 @@ func TestCanonicalKeySearchOptions(t *testing.T) {
 	}
 	base := compile(func(*Request) {})
 
-	// the two spellings of the same branch rule collapse to one key
-	flat := compile(func(r *Request) { r.Options.Branch = core.BranchMostFrac })
-	grouped := compile(func(r *Request) {
-		r.Options.Search = &core.SearchOptions{Branch: core.BranchMostFrac}
-	})
-	if flat.key != grouped.key {
-		t.Fatal("flat and search spellings of the same branch rule hash differently")
-	}
-	if flat.key == base.key {
-		t.Fatal("branch rule absent from the cache key")
+	empty := compile(func(r *Request) { r.Options.Search = &core.SearchOptions{} })
+	if empty.key != base.key {
+		t.Fatal("an empty search group hashes differently from a nil one")
 	}
 
-	// parallelism and threshold are excluded regardless of spelling
+	// parallelism is excluded
 	par := compile(func(r *Request) {
-		r.Options.Search = &core.SearchOptions{Parallelism: 8, Threshold: -1}
+		r.Options.Search = &core.SearchOptions{Parallelism: 8}
 	})
 	if par.key != base.key {
-		t.Fatal("search parallelism/threshold changed the cache key")
+		t.Fatal("search parallelism changed the cache key")
 	}
-	if par.opt.EffectiveSearch().Parallelism != 8 {
+	if par.opt.Search.Parallelism != 8 {
 		t.Fatal("search parallelism lost in compilation")
 	}
 
-	// mode and the strengthening toggles are part of the identity
+	// the service default fills the worker count into a copy: the
+	// request's own group and its other knobs are left as sent
+	r := fastRequest()
+	r.Options.Search = &core.SearchOptions{Branch: core.BranchMostFrac}
+	def, err := r.compile(time.Minute, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Options.Search.Parallelism != 0 {
+		t.Fatal("compile wrote the default worker count into the request")
+	}
+	if got := *def.opt.Search; got.Parallelism != 3 || got.Branch != core.BranchMostFrac {
+		t.Fatalf("compiled search = %+v, want 3 workers with most-fractional", got)
+	}
+
+	// mode, branch rule and the strengthening toggles are part of the
+	// identity
 	for i, mut := range []func(*Request){
-		func(r *Request) { r.Options.Search = &core.SearchOptions{Mode: core.SearchPortfolio} },
+		func(r *Request) { r.Options.Search = &core.SearchOptions{Mode: core.SearchSteal} },
+		func(r *Request) { r.Options.Search = &core.SearchOptions{Branch: core.BranchMostFrac} },
 		func(r *Request) { r.Options.Search = &core.SearchOptions{Cuts: core.ToggleOn} },
 		func(r *Request) { r.Options.Search = &core.SearchOptions{Dive: core.ToggleOff} },
 	} {

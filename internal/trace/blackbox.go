@@ -102,6 +102,12 @@ func (b *BlackBox) Record(e BBEvent) {
 	if b == nil {
 		return
 	}
+	b.mu.Lock()
+	b.recordLocked(e)
+	b.mu.Unlock()
+}
+
+func (b *BlackBox) recordLocked(e BBEvent) {
 	if !isFinite(e.Obj) {
 		e.Obj = 0
 	}
@@ -111,7 +117,6 @@ func (b *BlackBox) Record(e BBEvent) {
 	if !isFinite(e.Incumbent) {
 		e.Incumbent = 0
 	}
-	b.mu.Lock()
 	e.TMS = float64(time.Since(b.start)) / float64(time.Millisecond)
 	b.buf[b.next] = e
 	b.next++
@@ -119,18 +124,21 @@ func (b *BlackBox) Record(e BBEvent) {
 		b.next = 0
 	}
 	b.total++
-	b.mu.Unlock()
 }
 
-// Flush freezes the current ring contents under reason. Only the first
-// flush takes effect; the return value reports whether this call was
-// it. The OnFlush hook, when set, is invoked with the frozen dump
-// outside the lock. No-op (false) on nil.
-func (b *BlackBox) Flush(reason string) bool {
+// Flush records trigger, the anomaly event, and freezes the ring
+// contents under reason in the same critical section, so the frozen
+// dump always ends with its trigger even while other workers keep
+// recording. Only the first flush freezes; the return value reports
+// whether this call was it (a later trigger is still recorded in the
+// live ring). The OnFlush hook, when set, is invoked with the frozen
+// dump outside the lock. No-op (false) on nil.
+func (b *BlackBox) Flush(reason string, trigger BBEvent) bool {
 	if b == nil {
 		return false
 	}
 	b.mu.Lock()
+	b.recordLocked(trigger)
 	if b.flushed {
 		b.mu.Unlock()
 		return false

@@ -39,11 +39,10 @@ func TestBlackBoxFlushFreezesFirstWins(t *testing.T) {
 	var hooked []BBDump
 	b.SetOnFlush(func(d BBDump) { hooked = append(hooked, d) })
 	b.Record(BBEvent{Kind: BBNode, Node: 1})
-	b.Record(BBEvent{Kind: BBPanic, Node: 1, Msg: "boom"})
-	if !b.Flush("worker-panic") {
+	if !b.Flush("worker-panic", BBEvent{Kind: BBPanic, Node: 1, Msg: "boom"}) {
 		t.Fatal("first flush reported false")
 	}
-	if b.Flush("stall") {
+	if b.Flush("stall", BBEvent{Kind: BBStall}) {
 		t.Fatal("second flush won")
 	}
 	// recording continues, but the dump stays frozen at the anomaly
@@ -78,7 +77,7 @@ func TestBlackBoxOffZeroAlloc(t *testing.T) {
 	var b *BlackBox
 	if a := testing.AllocsPerRun(200, func() {
 		b.Record(BBEvent{Kind: BBNode, Node: 1})
-		_ = b.Flush("x")
+		_ = b.Flush("x", BBEvent{Kind: BBStall})
 		_, _ = b.Flushed()
 		_ = b.Total()
 	}); a != 0 {

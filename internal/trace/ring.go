@@ -16,22 +16,21 @@ const defaultRingCap = 512
 // oldest buffered one.
 type Ring struct {
 	mu     sync.Mutex
-	buf    []Event
+	buf    []Event // grows on demand up to limit
+	limit  int
 	total  uint64 // events ever emitted into the ring
 	notify chan struct{}
 	closed bool
 }
 
 // NewRing returns a ring keeping the last capacity events (<= 0 means
-// 512).
+// 512). The buffer grows as events arrive, so a ring that only ever
+// sees a handful of events holds memory for a handful.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = defaultRingCap
 	}
-	return &Ring{
-		buf:    make([]Event, 0, capacity),
-		notify: make(chan struct{}),
-	}
+	return &Ring{limit: capacity, notify: make(chan struct{})}
 }
 
 // NewRingAt returns a ring whose absolute indexing starts after base:
@@ -53,7 +52,7 @@ func (r *Ring) Emit(e Event) {
 		r.mu.Unlock()
 		return
 	}
-	if len(r.buf) == cap(r.buf) {
+	if len(r.buf) == r.limit {
 		copy(r.buf, r.buf[1:])
 		r.buf[len(r.buf)-1] = e
 	} else {

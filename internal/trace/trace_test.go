@@ -100,6 +100,30 @@ func TestRingWrapSinceAndClose(t *testing.T) {
 	r.Close() // idempotent
 }
 
+// TestRingGrowsOnDemand: a ring holds memory for the events it has
+// seen, not for its capacity — the service keeps one per finished job
+// — and once full it still keeps exactly the last capacity events.
+func TestRingGrowsOnDemand(t *testing.T) {
+	r := NewRing(0)
+	for i := 0; i < 3; i++ {
+		r.Emit(Event{Kind: KindNode, Nodes: int64(i + 1)})
+	}
+	if c := cap(r.buf); c > 16 {
+		t.Fatalf("ring holding 3 events has cap %d, want it well under %d", c, defaultRingCap)
+	}
+	for i := 3; i < defaultRingCap+100; i++ {
+		r.Emit(Event{Kind: KindNode, Nodes: int64(i + 1)})
+	}
+	evs, cur := r.Since(0)
+	if len(evs) != defaultRingCap || cur != defaultRingCap+100 {
+		t.Fatalf("full ring returned %d events, cursor %d", len(evs), cur)
+	}
+	if evs[0].Nodes != 101 || evs[len(evs)-1].Nodes != defaultRingCap+100 {
+		t.Fatalf("full ring kept nodes %d..%d, want 101..%d",
+			evs[0].Nodes, evs[len(evs)-1].Nodes, defaultRingCap+100)
+	}
+}
+
 // TestRingAtAnchorsIndexing: an amend-generation ring anchored at the
 // parent's total continues the absolute index sequence, so a reader's
 // cursor from the parent ring resumes cleanly on the child.
