@@ -151,7 +151,7 @@ func printSummary(rec *trace.Recording) {
 				fmt.Printf(", basis nnz %d, LU fill %.2fx", lp.BasisNNZ,
 					float64(lp.FactorNNZ)/float64(lp.BasisNNZ))
 			}
-			fmt.Printf(", %d ftran / %d btran, eta nnz %d", lp.FTRANs, lp.BTRANs, lp.EtaNNZ)
+			fmt.Printf(", %d ftran / %d btran, update nnz %d", lp.FTRANs, lp.BTRANs, lp.EtaNNZ)
 		}
 		fmt.Println()
 	}

@@ -205,7 +205,7 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	}
 	if prime != nil {
 		// prune anything that cannot strictly beat the incumbent
-		mopt.InitialUpper = float64(prime.Comm)
+		mopt.InitialUpper, mopt.HasInitialUpper = float64(prime.Comm), true
 	}
 	if m.Opt.TimeLimit > 0 {
 		// the sweep and settling may have consumed part of the budget

@@ -8,8 +8,8 @@ import "fmt"
 // eliminates it on every pivot — O(m·n) per pivot, unbeatable on the
 // small dense relaxations branch-and-bound nodes mostly are. The
 // revised engine keeps the constraint matrix in sparse column form and
-// the basis as a sparse LU factorization updated by an eta file, so a
-// pivot costs O(nnz) of the factor solves instead of O(m·n); it wins on
+// the basis as a sparse LU factorization with Forrest–Tomlin updates,
+// so a pivot costs O(nnz) of the factor solves instead of O(m·n); it wins on
 // the larger, sparser models (density of the paper's formulations drops
 // well under 1% at fir16-scale instances).
 //

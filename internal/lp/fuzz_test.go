@@ -10,7 +10,7 @@ import (
 
 // FuzzDifferential cross-checks the two simplex engines on random
 // sparse bounded-variable LPs: the dense tableau engine is the oracle
-// for the revised (LU + eta file) engine. The contract:
+// for the revised (LU + Forrest–Tomlin update) engine. The contract:
 //
 //   - statuses agree (optimal / infeasible / unbounded),
 //   - optimal objectives agree within feasTol (scaled),

@@ -4,8 +4,8 @@ import "math"
 
 // This file is the linear-algebra kernel of the revised simplex engine:
 // a sparse LU factorization of the basis (Gilbert–Peierls left-looking
-// with partial pivoting), product-form eta updates appended per pivot,
-// and the FTRAN/BTRAN solves every revised iteration is built from.
+// with partial pivoting), a Forrest–Tomlin update of U per pivot, and
+// the FTRAN/BTRAN solves every revised iteration is built from.
 //
 // Notation. The basis B has one column per row position i: the column
 // of basis[i] in [A | I] (structural columns come from the CSC copy of
@@ -13,25 +13,48 @@ import "math"
 //
 //	B·Q = P^{-1}·L·U
 //
-// with a row permutation P chosen by partial pivoting (pinv/prow) and a
-// column order Q chosen before factorizing (cord: columns sorted by
-// nonzero count, a cheap Markowitz-style fill heuristic). Then
+// with a row permutation P chosen by partial pivoting (pinv/prow) and
+// a column order Q chosen before factorizing (cord: columns sorted by
+// nonzero count, a cheap Markowitz-style fill heuristic). L keeps the
+// original row indices of the rows it eliminates; U is labelled by
+// rows too: "U column i" is the basis column whose diagonal sits in row
+// i, and "U row i" the row of that diagonal. U is upper triangular in
+// a triangular order uord that starts as the pivot order.
 //
-//	FTRAN:  B^{-1}b  = Q·U^{-1}·L^{-1}·P·b, followed by the eta file
-//	        in chronological order
-//	BTRAN:  B^{-T}y  = P^T·L^{-T}·U^{-T}·Q^T·y, preceded by the eta
-//	        transposes in reverse order
+// Forrest–Tomlin update (Forrest & Tomlin 1972; Suhl & Suhl 1990). When
+// basis position r, U column i_r, is replaced by a_q, L^{-1}·P·B'·Q is
+// U with column i_r replaced by the spike s = R_k···R_1·L^{-1}·a_q. The
+// update stores s as U column i_r, moves i_r to the end of the
+// triangular order, and removes row i_r's off-diagonal entries by
+// subtracting multiples of the rows after it: one row eta
+// R = I − e_{i_r}·m^T. The new diagonal is s_{i_r} − m^T s. So
 //
-// Each pivot appends one eta E = I + (α−e_r)e_r^T (α the FTRAN'd
-// entering column, r the leaving position), so B_k = B_0·E_1···E_k and
-// only periodic refactorization rebuilds L/U. All solve loops skip
-// zero-valued entries (value-based hyper-sparsity): a unit right-hand
-// side typically touches a tiny fraction of the factor nonzeros.
+//	FTRAN:  B^{-1}b = Q·U^{-1}·R_k···R_1·L^{-1}·P·b
+//	BTRAN:  B^{-T}y = P^T·L^{-T}·R_1^T···R_k^T·U^{-T}·Q^T·y
+//
+// and the update stores only the spike (1–3% dense on the suite's
+// bases) and the row eta, where a product-form eta would store the
+// whole FTRAN'd column. All solve loops skip entries at or below
+// tinyTol: a unit right-hand side touches a small fraction of the
+// factors.
 
 // singTol is the smallest pivot magnitude the factorization accepts; a
 // basis producing nothing larger is treated as numerically singular and
-// the caller falls back to a fresh all-logical basis.
+// the caller falls back to a fresh all-logical basis. An update whose
+// new diagonal falls below it is refused.
 const singTol = 1e-11
+
+// updTol is the relative disagreement between an update's new diagonal
+// and the FTRAN'd pivot times the old diagonal (the two are equal in
+// exact arithmetic: both are det(B')/det(B) times the old diagonal)
+// beyond which the update is refused and the basis refactorized.
+const updTol = 1e-9
+
+// tinyTol is the magnitude at or below which the solves and the update
+// treat an entry as zero. Entries that small are cancellation residue
+// (the factors' entries are O(1)); carrying them would only spread
+// fill through the spikes and row etas.
+const tinyTol = 1e-14
 
 // csc is a compressed-sparse-column copy of the structural matrix A,
 // built once per solver. Immutable after construction, shared by
@@ -76,12 +99,14 @@ func buildCSC(n int, rows []row) *csc {
 // colNNZ returns the nonzero count of column j.
 func (c *csc) colNNZ(j int) int { return int(c.ptr[j+1] - c.ptr[j]) }
 
-// basisLU holds the factorized basis representation: LU factors with
-// permutations, their transposes (for scatter-style BTRAN), and the
-// eta file of pivots applied since the last factorization. All slices
-// are grow-only scratch — refactorization reslices to length zero and
-// appends into retained capacity, so the warm solve cycle allocates
-// nothing once buffers have grown to their steady-state sizes.
+// basisLU holds the factorized basis representation: L with its
+// transpose, U in column and row form, and the row etas of the updates
+// applied since the last factorization. All slices are grow-only
+// scratch — refactorization reslices to length zero and appends into
+// retained capacity, and U's pools only ever append (entries an update
+// removes are dropped from their segment; the space they held is
+// reclaimed at the next factorization), so the warm solve cycle
+// allocates nothing once buffers have grown to their steady-state sizes.
 type basisLU struct {
 	m int
 
@@ -89,36 +114,57 @@ type basisLU struct {
 	cord []int32 // cord[k] = basis position factored k-th
 	pinv []int32 // pinv[origRow] = pivot order, -1 while unpivoted
 	prow []int32 // prow[k] = origRow pivoted k-th (inverse of pinv)
+	lpos []int32 // lpos[i] = basis position of U column i
+	plab []int32 // plab[pos] = U label of basis position pos (inverse of lpos)
 
-	// L: unit lower triangular, CSC by pivot order, implicit diagonal.
-	// Row indices are original rows during factorization and are
-	// remapped to pivot order at the end.
-	lptr []int32
-	lrow []int32
-	lval []float64
-	// U: upper triangular, CSC by pivot order, diagonal split out.
-	uptr  []int32
-	urow  []int32
-	uval  []float64
-	udiag []float64
-
-	// Transposes of L and U (built at factorize time) so BTRAN runs as
-	// forward/backward scatter with value skipping, like FTRAN.
+	// L: unit lower triangular, CSC by pivot order, implicit diagonal,
+	// original row indices. Its transpose (row k of L by pivot order,
+	// entries pointing at the original rows of the columns) lets BTRAN
+	// run as a backward scatter with value skipping, like FTRAN.
+	lptr  []int32
+	lrow  []int32
+	lval  []float64
 	ltptr []int32
 	ltrow []int32
 	ltval []float64
-	utptr []int32
-	utrow []int32
-	utval []float64
 
-	// Eta file: eta e replaces position etaPos[e] with the FTRAN'd
-	// entering column; etaPiv[e] is its pivot-position value and
-	// etaIdx/etaVal (delimited by etaStart) the off-pivot entries.
-	etaStart []int32
-	etaPos   []int32
-	etaPiv   []float64
-	etaIdx   []int32
-	etaVal   []float64
+	// U, labelled by rows, diagonal split out. uord is the triangular
+	// order (uord[p] = label at position p), upos its inverse. Column i
+	// is ucIdx/ucVal[ucBeg[i]:ucBeg[i]+ucLen[i]] (row labels); row i is
+	// urIdx/urVal[urBeg[i]:urBeg[i]+urLen[i]] (column labels) with room
+	// for urCap[i] entries before it must move to the end of the pool.
+	diag  []float64
+	uord  []int32
+	upos  []int32
+	ucBeg []int32
+	ucLen []int32
+	ucIdx []int32
+	ucVal []float64
+	urBeg []int32
+	urLen []int32
+	urCap []int32
+	urIdx []int32
+	urVal []float64
+
+	// Row etas, one per update that had entries to eliminate: eta e
+	// subtracts Σ rVal[t]·x[rIdx[t]] over rStart[e] ≤ t < rStart[e+1]
+	// from x[rLab[e]].
+	rLab   []int32
+	rStart []int32
+	rIdx   []int32
+	rVal   []float64
+
+	// spike is L^{-1}·a_q after the row etas, saved by the last
+	// ftranCol: dense by row label, nonzero on spat. spikeOK is false
+	// once the factors it was computed against have changed.
+	spike   []float64
+	spat    []int32
+	spikeOK bool
+
+	nUpd int // updates applied since the factorization
+	// uNNZ counts U's live nonzeros including the diagonal, uNNZ0 the
+	// count the factorization produced.
+	uNNZ, uNNZ0 int
 
 	// luNNZ is nnz(L)+nnz(U) including diagonals; basisNNZ the nonzero
 	// count of the factorized basis columns (fill-in = luNNZ/basisNNZ).
@@ -126,8 +172,7 @@ type basisLU struct {
 	basisNNZ int
 
 	// scratch
-	x    []float64 // dense work vector, original-row space
-	w    []float64 // dense work vector, pivot-order space
+	w    []float64 // dense work vector, all zero between calls
 	pat  []int32   // reach pattern, filled top..m-1
 	stk  []int32   // DFS node stack
 	pstk []int32   // DFS per-level child cursor
@@ -138,32 +183,36 @@ type basisLU struct {
 
 func newBasisLU(m int) *basisLU {
 	return &basisLU{
-		m:    m,
-		cord: make([]int32, m),
-		pinv: make([]int32, m),
-		prow: make([]int32, m),
-		x:    make([]float64, m),
-		w:    make([]float64, m),
-		pat:  make([]int32, m),
-		stk:  make([]int32, m),
-		pstk: make([]int32, m),
-		flag: make([]int32, m),
-		cnt:  make([]int32, m+2),
+		m:     m,
+		cord:  make([]int32, m),
+		pinv:  make([]int32, m),
+		prow:  make([]int32, m),
+		lpos:  make([]int32, m),
+		plab:  make([]int32, m),
+		diag:  make([]float64, m),
+		uord:  make([]int32, m),
+		upos:  make([]int32, m),
+		ucBeg: make([]int32, m),
+		ucLen: make([]int32, m),
+		urBeg: make([]int32, m),
+		urLen: make([]int32, m),
+		urCap: make([]int32, m),
+		spike: make([]float64, m),
+		w:     make([]float64, m),
+		pat:   make([]int32, m),
+		stk:   make([]int32, m),
+		pstk:  make([]int32, m),
+		flag:  make([]int32, m),
+		cnt:   make([]int32, m+2),
 	}
 }
 
-// nEtas returns the number of etas appended since the factorization.
-func (f *basisLU) nEtas() int { return len(f.etaPos) }
-
-// etaNNZ returns the off-pivot entry count of the eta file.
-func (f *basisLU) etaNNZ() int { return len(f.etaIdx) }
-
-// factorize rebuilds L/U from the basis columns, dropping the eta file.
-// basisCol enumerates the column of basis position pos as (origRow,
-// value) pairs via the provided append-style gather; it reports false
-// when the basis is numerically singular (caller resets the basis).
+// factorize rebuilds L/U from the basis columns, dropping the updates.
+// It reports false when the basis is numerically singular (the caller
+// resets the basis).
 func (f *basisLU) factorize(basis []int, n int, a *csc) bool {
 	m := f.m
+	f.spikeOK = false
 	// column order: nonzero count ascending, position ascending on ties
 	// (stable counting sort — deterministic and allocation-free).
 	cnt := f.cnt[:m+2]
@@ -196,11 +245,9 @@ func (f *basisLU) factorize(basis []int, n int, a *csc) bool {
 	f.lptr = append(f.lptr[:0], 0)
 	f.lrow = f.lrow[:0]
 	f.lval = f.lval[:0]
-	f.uptr = append(f.uptr[:0], 0)
-	f.urow = f.urow[:0]
-	f.uval = f.uval[:0]
-	f.udiag = f.udiag[:0]
-	x := f.x
+	f.ucIdx = f.ucIdx[:0]
+	f.ucVal = f.ucVal[:0]
+	x := f.w
 	basisNNZ := 0
 
 	for k := 0; k < m; k++ {
@@ -222,22 +269,7 @@ func (f *basisLU) factorize(basis []int, n int, a *csc) bool {
 			x[v-n] = 1
 			basisNNZ++
 		}
-		// sparse triangular solve in topological order: node i scatters
-		// its completed L column into dependents
-		for t := top; t < m; t++ {
-			i := f.pat[t]
-			ki := f.pinv[i]
-			if ki < 0 {
-				continue
-			}
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			for u := f.lptr[ki]; u < f.lptr[ki+1]; u++ {
-				x[f.lrow[u]] -= f.lval[u] * xi
-			}
-		}
+		f.lsolvePat(x, top)
 		// partial pivoting: largest magnitude among unpivoted rows,
 		// ties broken toward the lowest original row (determinism)
 		pivRow, pivAbs := int32(-1), 0.0
@@ -259,38 +291,77 @@ func (f *basisLU) factorize(basis []int, n int, a *csc) bool {
 		xp := x[pivRow]
 		f.pinv[pivRow] = int32(k)
 		f.prow[k] = pivRow
-		f.udiag = append(f.udiag, xp)
+		f.diag[pivRow] = xp
+		f.ucBeg[pivRow] = int32(len(f.ucIdx))
 		for t := top; t < m; t++ {
 			i := f.pat[t]
 			xi := x[i]
 			x[i] = 0
-			if xi == 0 || i == pivRow {
+			if math.Abs(xi) <= tinyTol || i == pivRow {
 				continue
 			}
 			if ki := f.pinv[i]; ki >= 0 && ki < int32(k) {
-				f.urow = append(f.urow, ki)
-				f.uval = append(f.uval, xi)
+				f.ucIdx = append(f.ucIdx, i)
+				f.ucVal = append(f.ucVal, xi)
 			} else if ki < 0 {
-				f.lrow = append(f.lrow, i) // original row; remapped below
+				f.lrow = append(f.lrow, i)
 				f.lval = append(f.lval, xi/xp)
 			}
 		}
+		f.ucLen[pivRow] = int32(len(f.ucIdx)) - f.ucBeg[pivRow]
 		f.lptr = append(f.lptr, int32(len(f.lrow)))
-		f.uptr = append(f.uptr, int32(len(f.urow)))
 	}
-	// remap L's row indices into pivot order
-	for t := range f.lrow {
-		f.lrow[t] = f.pinv[f.lrow[t]]
+	for k := 0; k < m; k++ {
+		i := f.prow[k]
+		f.uord[k] = i
+		f.upos[i] = int32(k)
+		f.lpos[i] = f.cord[k]
+		f.plab[f.cord[k]] = i
 	}
-	f.luNNZ = len(f.lrow) + len(f.urow) + m
+	f.uNNZ = len(f.ucIdx) + m
+	f.uNNZ0 = f.uNNZ
+	f.luNNZ = len(f.lrow) + f.uNNZ
 	f.basisNNZ = basisNNZ
-	f.buildTransposes()
-	f.etaStart = append(f.etaStart[:0], 0)
-	f.etaPos = f.etaPos[:0]
-	f.etaPiv = f.etaPiv[:0]
-	f.etaIdx = f.etaIdx[:0]
-	f.etaVal = f.etaVal[:0]
+	f.buildLT()
+	f.buildURows()
+	f.rLab = f.rLab[:0]
+	f.rStart = append(f.rStart[:0], 0)
+	f.rIdx = f.rIdx[:0]
+	f.rVal = f.rVal[:0]
+	f.nUpd = 0
 	return true
+}
+
+// lsolvePat applies L^{-1} to x in place over the reach pattern
+// pat[top:], which lists the rows x can touch in topological order:
+// row i scatters its completed L column into its dependents. Rows not
+// yet pivoted (during factorize) have no column and are skipped.
+func (f *basisLU) lsolvePat(x []float64, top int) {
+	for t := top; t < f.m; t++ {
+		i := f.pat[t]
+		ki := f.pinv[i]
+		if ki < 0 {
+			continue
+		}
+		xi := x[i]
+		if math.Abs(xi) <= tinyTol {
+			continue
+		}
+		for u := f.lptr[ki]; u < f.lptr[ki+1]; u++ {
+			x[f.lrow[u]] -= f.lval[u] * xi
+		}
+	}
+}
+
+// nextGen starts a new DFS generation, clearing the marks on overflow.
+func (f *basisLU) nextGen() {
+	if f.gen == math.MaxInt32 {
+		for i := range f.flag {
+			f.flag[i] = 0
+		}
+		f.gen = 0
+	}
+	f.gen++
 }
 
 // reach pushes the rows reachable from origRow i (through completed L
@@ -335,11 +406,11 @@ func (f *basisLU) reach(i int, top int) int {
 	return top
 }
 
-// buildTransposes rebuilds the CSC transposes of L and U used by BTRAN.
-func (f *basisLU) buildTransposes() {
+// buildLT rebuilds the transpose of L used by BTRAN: for pivot k, the
+// entries L[prow[k], k'] as (prow[k'], value).
+func (f *basisLU) buildLT() {
 	m := f.m
 	cnt := f.cnt[:m+1]
-
 	f.ltrow = grow32(f.ltrow, len(f.lrow))
 	f.ltval = growF(f.ltval, len(f.lval))
 	f.ltptr = grow32(f.ltptr, m+1)
@@ -347,42 +418,52 @@ func (f *basisLU) buildTransposes() {
 		cnt[i] = 0
 	}
 	for _, r := range f.lrow {
-		cnt[r]++
+		cnt[f.pinv[r]]++
 	}
 	f.ltptr[0] = 0
-	for r := 0; r < m; r++ {
-		f.ltptr[r+1] = f.ltptr[r] + cnt[r]
-		cnt[r] = f.ltptr[r]
+	for k := 0; k < m; k++ {
+		f.ltptr[k+1] = f.ltptr[k] + cnt[k]
+		cnt[k] = f.ltptr[k]
 	}
 	for k := 0; k < m; k++ {
 		for t := f.lptr[k]; t < f.lptr[k+1]; t++ {
-			r := f.lrow[t]
-			f.ltrow[cnt[r]] = int32(k)
-			f.ltval[cnt[r]] = f.lval[t]
-			cnt[r]++
+			kr := f.pinv[f.lrow[t]]
+			f.ltrow[cnt[kr]] = f.prow[k]
+			f.ltval[cnt[kr]] = f.lval[t]
+			cnt[kr]++
 		}
 	}
+}
 
-	f.utrow = grow32(f.utrow, len(f.urow))
-	f.utval = growF(f.utval, len(f.uval))
-	f.utptr = grow32(f.utptr, m+1)
-	for i := range cnt {
-		cnt[i] = 0
+// urSlack is the free room each U row gets at factorization, so the
+// first spike entries landing in a row do not move it.
+const urSlack = 4
+
+// buildURows rebuilds U's row form from its column form.
+func (f *basisLU) buildURows() {
+	m := f.m
+	for i := 0; i < m; i++ {
+		f.urLen[i] = 0
 	}
-	for _, r := range f.urow {
-		cnt[r]++
+	for _, i := range f.ucIdx {
+		f.urLen[i]++
 	}
-	f.utptr[0] = 0
-	for r := 0; r < m; r++ {
-		f.utptr[r+1] = f.utptr[r] + cnt[r]
-		cnt[r] = f.utptr[r]
+	next := int32(0)
+	for i := 0; i < m; i++ {
+		f.urBeg[i] = next
+		f.urCap[i] = f.urLen[i] + urSlack
+		next += f.urCap[i]
+		f.urLen[i] = 0
 	}
-	for k := 0; k < m; k++ {
-		for t := f.uptr[k]; t < f.uptr[k+1]; t++ {
-			r := f.urow[t]
-			f.utrow[cnt[r]] = int32(k)
-			f.utval[cnt[r]] = f.uval[t]
-			cnt[r]++
+	f.urIdx = grow32(f.urIdx, int(next))
+	f.urVal = growF(f.urVal, int(next))
+	for j := 0; j < m; j++ {
+		for t := f.ucBeg[j]; t < f.ucBeg[j]+f.ucLen[j]; t++ {
+			i := f.ucIdx[t]
+			u := f.urBeg[i] + f.urLen[i]
+			f.urIdx[u] = int32(j)
+			f.urVal[u] = f.ucVal[t]
+			f.urLen[i]++
 		}
 	}
 }
@@ -401,113 +482,289 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// ftran solves B x_out = x in place; x is a dense vector in row/position
-// space. Zero entries are skipped throughout, so a sparse right-hand
-// side (an entering column) touches only the factor entries its
-// nonzeros reach.
+// ftran solves B x_out = x in place; x is a dense vector in row space
+// on entry and in position space on return. Entries at or below
+// tinyTol are skipped throughout. Each solve clears the entries it
+// leaves in the work vector w while writing its result.
 func (f *basisLU) ftran(x []float64) {
-	m := f.m
 	w := f.w
-	for k := 0; k < m; k++ {
-		w[k] = x[f.prow[k]] // P·x
-	}
-	for k := 0; k < m; k++ { // L solve, forward scatter
-		xk := w[k]
-		if xk == 0 {
+	copy(w, x)
+	for k := 0; k < f.m; k++ { // L solve, forward scatter
+		i := f.prow[k]
+		wk := w[i]
+		if math.Abs(wk) <= tinyTol {
+			w[i] = 0
 			continue
 		}
 		for t := f.lptr[k]; t < f.lptr[k+1]; t++ {
-			w[f.lrow[t]] -= f.lval[t] * xk
+			w[f.lrow[t]] -= f.lval[t] * wk
 		}
 	}
-	for k := m - 1; k >= 0; k-- { // U solve, backward scatter
-		xk := w[k]
-		if xk == 0 {
+	for e := range f.rLab {
+		w[f.rLab[e]] -= f.rDot(e, w)
+	}
+	f.usolve(w, x)
+}
+
+// ftranCol solves B x = a_q for column q of [A|I] into x and saves the
+// spike the next update needs. The L solve visits only the rows the
+// column reaches (the Gilbert–Peierls reach factorize uses), which is
+// also the spike's pattern.
+func (f *basisLU) ftranCol(x []float64, q, n int, a *csc) {
+	for _, i := range f.spat {
+		f.spike[i] = 0
+	}
+	f.spat = f.spat[:0]
+	w := f.w
+	f.nextGen()
+	top := f.m
+	if q < n {
+		for t := a.ptr[q]; t < a.ptr[q+1]; t++ {
+			w[a.row[t]] = a.val[t]
+			top = f.reach(int(a.row[t]), top)
+		}
+	} else {
+		w[q-n] = 1
+		top = f.reach(q-n, top)
+	}
+	f.lsolvePat(w, top)
+	for e := range f.rLab {
+		i := f.rLab[e]
+		if d := f.rDot(e, w); d != 0 {
+			w[i] -= d
+			if f.flag[i] != f.gen {
+				f.flag[i] = f.gen
+				top--
+				f.pat[top] = i
+			}
+		}
+	}
+	for t := top; t < f.m; t++ {
+		i := f.pat[t]
+		if math.Abs(w[i]) <= tinyTol {
+			w[i] = 0
 			continue
 		}
-		xk /= f.udiag[k]
-		w[k] = xk
-		for t := f.uptr[k]; t < f.uptr[k+1]; t++ {
-			w[f.urow[t]] -= f.uval[t] * xk
-		}
+		f.spike[i] = w[i]
+		f.spat = append(f.spat, i)
 	}
-	for k := 0; k < m; k++ {
-		x[f.cord[k]] = w[k] // Q·w
+	f.spikeOK = true
+	f.usolve(w, x)
+}
+
+// rDot returns row eta e's multipliers dotted with w. The loop is
+// branch-free: most of w is zero, and testing for it costs more than
+// the multiply.
+func (f *basisLU) rDot(e int, w []float64) float64 {
+	acc := 0.0
+	for t := f.rStart[e]; t < f.rStart[e+1]; t++ {
+		acc += f.rVal[t] * w[f.rIdx[t]]
 	}
-	// eta file, chronological: x_r /= α_r, then x_j -= α_j·x_r
-	for e := 0; e < len(f.etaPos); e++ {
-		r := f.etaPos[e]
-		xr := x[r]
-		if xr == 0 {
+	return acc
+}
+
+// usolve finishes FTRAN: the U solve on w, backward in triangular
+// order, writing each finished entry to its basis position in x and
+// clearing w behind it.
+func (f *basisLU) usolve(w, x []float64) {
+	for p := f.m - 1; p >= 0; p-- {
+		i := f.uord[p]
+		wi := w[i]
+		if math.Abs(wi) <= tinyTol {
+			w[i] = 0
+			x[f.lpos[i]] = 0
 			continue
 		}
-		xr /= f.etaPiv[e]
-		x[r] = xr
-		for t := f.etaStart[e]; t < f.etaStart[e+1]; t++ {
-			x[f.etaIdx[t]] -= f.etaVal[t] * xr
+		w[i] = 0
+		wi /= f.diag[i]
+		x[f.lpos[i]] = wi
+		for t := f.ucBeg[i]; t < f.ucBeg[i]+f.ucLen[i]; t++ {
+			w[f.ucIdx[t]] -= f.ucVal[t] * wi
 		}
 	}
 }
 
-// btran solves B^T y_out = y in place; y is a dense vector in
-// row/position space.
+// btran solves B^T y_out = y in place; y is a dense vector in position
+// space on entry and in row space on return.
 func (f *basisLU) btran(y []float64) {
-	// eta transposes, reverse chronological:
-	// y_r ← (y_r − Σ_{j≠r} α_j·y_j)/α_r
-	for e := len(f.etaPos) - 1; e >= 0; e-- {
-		r := f.etaPos[e]
-		acc := y[r]
-		for t := f.etaStart[e]; t < f.etaStart[e+1]; t++ {
-			if v := y[f.etaIdx[t]]; v != 0 {
-				acc -= f.etaVal[t] * v
-			}
-		}
-		y[r] = acc / f.etaPiv[e]
+	for i := 0; i < f.m; i++ {
+		f.w[i] = y[f.lpos[i]]
 	}
+	f.bsolve(y)
+}
+
+// btranUnit solves B^T y = e_r into y: row r of B^{-1}.
+func (f *basisLU) btranUnit(r int, y []float64) {
+	f.w[f.plab[r]] = 1
+	f.bsolve(y)
+}
+
+// bsolve is BTRAN after Q^T: U^T, the row eta transposes in reverse,
+// then L^T, whose backward pass writes each finished entry to y and
+// clears w behind it.
+func (f *basisLU) bsolve(y []float64) {
 	m := f.m
 	w := f.w
-	for k := 0; k < m; k++ {
-		w[k] = y[f.cord[k]] // Q^T·y
-	}
-	for k := 0; k < m; k++ { // U^T solve, forward scatter
-		wk := w[k]
-		if wk == 0 {
+	for p := 0; p < m; p++ { // U^T solve, forward scatter by rows
+		i := f.uord[p]
+		wi := w[i]
+		if math.Abs(wi) <= tinyTol {
+			w[i] = 0
 			continue
 		}
-		wk /= f.udiag[k]
-		w[k] = wk
-		for t := f.utptr[k]; t < f.utptr[k+1]; t++ {
-			w[f.utrow[t]] -= f.utval[t] * wk
+		wi /= f.diag[i]
+		w[i] = wi
+		for t := f.urBeg[i]; t < f.urBeg[i]+f.urLen[i]; t++ {
+			w[f.urIdx[t]] -= f.urVal[t] * wi
+		}
+	}
+	for e := len(f.rLab) - 1; e >= 0; e-- {
+		v := w[f.rLab[e]]
+		if math.Abs(v) <= tinyTol {
+			continue
+		}
+		for t := f.rStart[e]; t < f.rStart[e+1]; t++ {
+			w[f.rIdx[t]] -= f.rVal[t] * v
 		}
 	}
 	for k := m - 1; k >= 0; k-- { // L^T solve, backward scatter
-		wk := w[k]
-		if wk == 0 {
+		i := f.prow[k]
+		v := w[i]
+		if math.Abs(v) <= tinyTol {
+			w[i] = 0
+			y[i] = 0
 			continue
 		}
+		w[i] = 0
+		y[i] = v
 		for t := f.ltptr[k]; t < f.ltptr[k+1]; t++ {
-			w[f.ltrow[t]] -= f.ltval[t] * wk
+			w[f.ltrow[t]] -= f.ltval[t] * v
 		}
-	}
-	for k := 0; k < m; k++ {
-		y[f.prow[k]] = w[k] // P^T·w
 	}
 }
 
-// appendEta records the pivot (position r, FTRAN'd entering column col)
-// as a product-form update; returns the number of off-pivot entries
-// appended. col is dense in position space.
-func (f *basisLU) appendEta(r int, col []float64) int {
-	added := 0
-	for i, v := range col {
-		if v != 0 && i != r {
-			f.etaIdx = append(f.etaIdx, int32(i))
-			f.etaVal = append(f.etaVal, v)
-			added++
+// update replaces the column of basis position r with the entering
+// column whose spike the last ftranCol saved; piv is that FTRAN's
+// pivot entry (position r of B^{-1}a_q). It returns the entries the
+// update stored (spike plus row eta), or false — leaving the factors
+// untouched — when there is no valid spike or the new diagonal fails
+// the stability check; the caller must then refactorize.
+func (f *basisLU) update(r int, piv float64) (int, bool) {
+	if !f.spikeOK {
+		return 0, false
+	}
+	f.spikeOK = false
+	m := f.m
+	ir := f.plab[r]
+	p := int(f.upos[ir])
+	rw := f.w
+	rb, re := f.urBeg[ir], f.urBeg[ir]+f.urLen[ir]
+	for t := rb; t < re; t++ {
+		rw[f.urIdx[t]] = f.urVal[t]
+	}
+	// eliminate row ir against the rows after it, in triangular order
+	r0 := len(f.rIdx)
+	dnew := f.spike[ir]
+	if re > rb {
+		for pp := p + 1; pp < m; pp++ {
+			j := f.uord[pp]
+			v := rw[j]
+			rw[j] = 0
+			if math.Abs(v) <= tinyTol {
+				continue
+			}
+			mj := v / f.diag[j]
+			f.rIdx = append(f.rIdx, j)
+			f.rVal = append(f.rVal, mj)
+			dnew -= mj * f.spike[j]
+			for t := f.urBeg[j]; t < f.urBeg[j]+f.urLen[j]; t++ {
+				rw[f.urIdx[t]] -= mj * f.urVal[t]
+			}
 		}
 	}
-	f.etaPos = append(f.etaPos, int32(r))
-	f.etaPiv = append(f.etaPiv, col[r])
-	f.etaStart = append(f.etaStart, int32(len(f.etaIdx)))
-	return added
+	want := piv * f.diag[ir]
+	if ad := math.Abs(dnew); ad < singTol || math.Abs(dnew-want) > updTol*math.Max(ad, math.Abs(want)) {
+		f.rIdx, f.rVal = f.rIdx[:r0], f.rVal[:r0]
+		return 0, false
+	}
+	// row ir leaves U's column form; column ir leaves U's row form
+	for t := rb; t < re; t++ {
+		f.ucRemove(f.urIdx[t], ir)
+	}
+	f.uNNZ -= int(re - rb)
+	f.urLen[ir] = 0
+	for t := f.ucBeg[ir]; t < f.ucBeg[ir]+f.ucLen[ir]; t++ {
+		f.urRemove(f.ucIdx[t], ir)
+	}
+	f.uNNZ -= int(f.ucLen[ir])
+	// the spike becomes column ir, last in the triangular order
+	f.ucBeg[ir] = int32(len(f.ucIdx))
+	for _, i := range f.spat {
+		if i == ir {
+			continue
+		}
+		v := f.spike[i]
+		f.ucIdx = append(f.ucIdx, i)
+		f.ucVal = append(f.ucVal, v)
+		f.urAppend(i, ir, v)
+	}
+	f.ucLen[ir] = int32(len(f.ucIdx)) - f.ucBeg[ir]
+	f.uNNZ += int(f.ucLen[ir])
+	f.diag[ir] = dnew
+	copy(f.uord[p:], f.uord[p+1:])
+	f.uord[m-1] = ir
+	for pp := p; pp < m; pp++ {
+		f.upos[f.uord[pp]] = int32(pp)
+	}
+	if len(f.rIdx) > r0 {
+		f.rLab = append(f.rLab, ir)
+		f.rStart = append(f.rStart, int32(len(f.rIdx)))
+	}
+	f.nUpd++
+	return int(f.ucLen[ir]) + len(f.rIdx) - r0, true
+}
+
+// ucRemove drops row label i from U column j.
+func (f *basisLU) ucRemove(j, i int32) {
+	b, e := f.ucBeg[j], f.ucBeg[j]+f.ucLen[j]-1
+	for t := b; t <= e; t++ {
+		if f.ucIdx[t] == i {
+			f.ucIdx[t], f.ucVal[t] = f.ucIdx[e], f.ucVal[e]
+			f.ucLen[j]--
+			return
+		}
+	}
+}
+
+// urRemove drops column label j from U row i.
+func (f *basisLU) urRemove(i, j int32) {
+	b, e := f.urBeg[i], f.urBeg[i]+f.urLen[i]-1
+	for t := b; t <= e; t++ {
+		if f.urIdx[t] == j {
+			f.urIdx[t], f.urVal[t] = f.urIdx[e], f.urVal[e]
+			f.urLen[i]--
+			return
+		}
+	}
+}
+
+// urAppend adds entry (i, j) = v to U's row form, moving row i to the
+// end of the pool, with room to grow, when it is full.
+func (f *basisLU) urAppend(i, j int32, v float64) {
+	n := f.urLen[i]
+	if n == f.urCap[i] {
+		b := f.urBeg[i]
+		nb := int32(len(f.urIdx))
+		f.urIdx = append(f.urIdx, f.urIdx[b:b+n]...)
+		f.urVal = append(f.urVal, f.urVal[b:b+n]...)
+		c := 2*n + urSlack
+		for k := n; k < c; k++ {
+			f.urIdx = append(f.urIdx, 0)
+			f.urVal = append(f.urVal, 0)
+		}
+		f.urBeg[i], f.urCap[i] = nb, c
+	}
+	t := f.urBeg[i] + n
+	f.urIdx[t], f.urVal[t] = j, v
+	f.urLen[i] = n + 1
 }

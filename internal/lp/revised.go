@@ -31,10 +31,13 @@ import (
 // tie-breaking (ratio tests scan candidates in ascending index order,
 // with the dense engine's exact tie rules).
 
-// maxEtas bounds the eta file length before the basis is refactorized;
-// the eta-nnz trigger below refactorizes earlier when updates fill in
-// faster than the factorization they amend.
-const maxEtas = 64
+// Refactorization policy (revRefactorDue): the basis is refactorized
+// after maxUpdates Forrest–Tomlin updates, or earlier once U holds more
+// than uGrowth times the nonzeros the factorization gave it.
+const (
+	maxUpdates = 50
+	uGrowth    = 2
+)
 
 // devexResetThresh: a reference weight beyond it means the frame has
 // drifted far from where the weights were seeded; restart them at 1.
@@ -44,7 +47,7 @@ const devexResetThresh = 1e12
 // The dense tableau s.tab is nil when this is non-nil.
 type revisedState struct {
 	a  *csc     // structural columns of A, immutable, shared by clones
-	lu *basisLU // factorized basis + eta file
+	lu *basisLU // factorized basis + Forrest–Tomlin updates
 
 	col []float64 // m: FTRAN result, the entering tableau column
 	rho []float64 // m: BTRAN result, the basis-inverse row (Farkas ray)
@@ -90,7 +93,9 @@ func (rv *revisedState) alphaAt(j int) float64 {
 }
 
 // revFactorize rebuilds the LU factors from the current basis, dropping
-// the eta file. Returns false when the basis is numerically singular.
+// the updates. Returns false when the basis is numerically singular;
+// the factors then stay stale, so the next revEnsure retries (and a
+// caller falls back to reset).
 func (s *Solver) revFactorize() bool {
 	var t0 time.Time
 	if s.Prof != nil {
@@ -101,8 +106,8 @@ func (s *Solver) revFactorize() bool {
 		s.Counters.Factorizations++
 		s.Counters.BasisNNZ = int64(s.rev.lu.basisNNZ)
 		s.Counters.FactorNNZ = int64(s.rev.lu.luNNZ)
-		s.rev.stale = false
 	}
+	s.rev.stale = !ok
 	if s.Prof != nil {
 		s.Prof.Observe(trace.PhaseFactorize, time.Since(t0).Nanoseconds())
 	}
@@ -168,22 +173,11 @@ func (s *Solver) revReset() {
 }
 
 // revFtranCol computes the entering tableau column B^{-1} a_q into
-// rev.col (dense, position space).
+// rev.col (dense, position space), saving the spike a following
+// revPivot on q stores in U.
 func (s *Solver) revFtranCol(q int) {
 	rv := s.rev
-	col := rv.col
-	for i := range col {
-		col[i] = 0
-	}
-	if q < s.n {
-		a := rv.a
-		for t := a.ptr[q]; t < a.ptr[q+1]; t++ {
-			col[a.row[t]] = a.val[t]
-		}
-	} else {
-		col[q-s.n] = 1
-	}
-	rv.lu.ftran(col)
+	rv.lu.ftranCol(rv.col, q, s.n, rv.a)
 	s.Counters.FTRANs++
 }
 
@@ -193,11 +187,7 @@ func (s *Solver) revFtranCol(q int) {
 func (s *Solver) revPivotRow(r int) {
 	rv := s.rev
 	rho := rv.rho
-	for i := range rho {
-		rho[i] = 0
-	}
-	rho[r] = 1
-	rv.lu.btran(rho)
+	rv.lu.btranUnit(r, rho)
 	s.Counters.BTRANs++
 	if rv.agen == math.MaxInt32 {
 		for j := range rv.aseen {
@@ -334,8 +324,9 @@ func (s *Solver) revRestoreDuals() {
 }
 
 // revPivotAgree cross-checks the pivot element as seen by the FTRAN'd
-// column (col[r]) and the BTRAN'd row (alpha[q]). Disagreement flags a
-// degraded eta file: the caller refactorizes and redoes the iteration.
+// column (col[r]) and the BTRAN'd row (alpha[q]). Disagreement flags
+// degraded updated factors: the caller refactorizes and redoes the
+// iteration.
 func (s *Solver) revPivotAgree(r, q int) bool {
 	cv, av := s.rev.col[r], s.rev.alphaAt(q)
 	if math.Abs(cv) < pivTol {
@@ -348,12 +339,12 @@ func (s *Solver) revPivotAgree(r, q int) bool {
 	return math.Abs(cv-av) <= 1e-6*(1+scale)
 }
 
-// revRefactorDue reports whether the eta file has grown past the
-// refactorization policy: a hard count bound, or more update fill than
-// a fresh factorization is worth.
+// revRefactorDue reports whether the factors must be rebuilt: an
+// update was refused, the update count reached maxUpdates, or U has
+// grown past uGrowth times its size at factorization.
 func (s *Solver) revRefactorDue() bool {
 	f := s.rev.lu
-	return f.nEtas() >= maxEtas || f.etaNNZ() > 2*f.luNNZ+s.m
+	return s.rev.stale || f.nUpd >= maxUpdates || f.uNNZ > uGrowth*f.uNNZ0
 }
 
 // revPricePrimal selects the entering variable under devex pricing:
@@ -539,10 +530,11 @@ func (s *Solver) revRatioDual(r int, below bool) int {
 
 // revPivot applies the pivot (entering q by delta, leaving row r to the
 // hitUpper bound): basic values shift along the FTRAN'd column, reduced
-// costs and devex weights update along the scattered pivot row, and the
-// column is appended to the eta file. The caller checks revRefactorDue
-// afterwards and refactorizes OUTSIDE its pivot-update profiling lap,
-// so the factorize sub-phase is never double-counted under update.
+// costs and devex weights update along the scattered pivot row, and U
+// takes the entering column's spike (Forrest–Tomlin). A refused update
+// marks the factors stale. The caller checks revRefactorDue afterwards
+// and refactorizes OUTSIDE its pivot-update profiling lap, so the
+// factorize sub-phase is never double-counted under update.
 func (s *Solver) revPivot(r, q int, delta float64, hitUpper bool) {
 	rv := s.rev
 	col := rv.col
@@ -600,7 +592,11 @@ func (s *Solver) revPivot(r, q int, delta float64, hitUpper bool) {
 		}
 		rv.wts[leave] = wl
 	}
-	s.Counters.EtaNNZ += int64(rv.lu.appendEta(r, col))
+	if nnz, ok := rv.lu.update(r, col[r]); ok {
+		s.Counters.EtaNNZ += int64(nnz)
+	} else {
+		rv.stale = true
+	}
 }
 
 // revPrimalSimplex is primalSimplex on the revised basis representation.
@@ -669,9 +665,9 @@ func (s *Solver) revPrimalSimplex() Status {
 			prof.Observe(trace.PhaseBTRAN, now.Sub(tl).Nanoseconds())
 			tl = now
 		}
-		if !s.revPivotAgree(leave, q) && s.rev.lu.nEtas() > 0 {
-			// eta file has drifted: rebuild exact factors and redo the
-			// iteration from them
+		if !s.revPivotAgree(leave, q) && s.rev.lu.nUpd > 0 {
+			// updated factors have drifted: rebuild exact factors and
+			// redo the iteration from them
 			if !s.revFactorize() {
 				return StatusIterLimit
 			}
@@ -728,8 +724,8 @@ func (s *Solver) revDualSimplex() Status {
 			tl = now
 		}
 		if q < 0 {
-			if s.rev.lu.nEtas() > 0 {
-				// never conclude infeasibility off eta-file arithmetic:
+			if s.rev.lu.nUpd > 0 {
+				// never conclude infeasibility off updated factors:
 				// rebuild exact factors and re-derive the row first
 				if !s.revFactorize() {
 					return StatusIterLimit
@@ -753,7 +749,7 @@ func (s *Solver) revDualSimplex() Status {
 			prof.Observe(trace.PhaseFTRAN, now.Sub(tl).Nanoseconds())
 			tl = now
 		}
-		if !s.revPivotAgree(r, q) && s.rev.lu.nEtas() > 0 {
+		if !s.revPivotAgree(r, q) && s.rev.lu.nUpd > 0 {
 			if !s.revFactorize() {
 				return StatusIterLimit
 			}

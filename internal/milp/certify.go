@@ -114,7 +114,7 @@ func buildCertificate(p *lp.Problem, opt *Options, res *Result, rw rootWitness) 
 	if !math.IsInf(res.BestBound, -1) {
 		c.Bound = exact.FloatString(res.BestBound)
 	}
-	if opt.InitialUpper != 0 && !math.IsInf(opt.InitialUpper, 1) {
+	if opt.HasInitialUpper && !math.IsInf(opt.InitialUpper, 1) {
 		// an exhausted search primed with InitialUpper proves "nothing
 		// strictly better than this exists", not plain infeasibility
 		c.InitialUpper = exact.FloatString(opt.InitialUpper)

@@ -130,7 +130,7 @@ func TestCertifyExhaustedWithInitialUpper(t *testing.T) {
 	x := p.AddBinary("x", 1)
 	y := p.AddBinary("y", 1)
 	_ = p.AddGE("cover", []int{x, y}, []float64{1, 1}, 1)
-	res, err := Solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true, InitialUpper: 1, Certify: true})
+	res, err := Solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true, InitialUpper: 1, HasInitialUpper: true, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,11 +134,14 @@ type Options struct {
 	// integral objective, enabling ceil-rounding of LP bounds.
 	ObjIntegral bool
 	// InitialUpper primes the incumbent objective with the objective
-	// of a known feasible solution, e.g. from a heuristic (+Inf when
-	// 0). Subtrees that cannot beat it are pruned; if nothing beats
-	// it, the result is StatusInfeasible with a nil X, meaning "no
-	// solution strictly better than InitialUpper exists".
-	InitialUpper float64
+	// of a known feasible solution, e.g. from a heuristic; it is read
+	// only when HasInitialUpper is set, so a known solution of
+	// objective 0 primes like any other. Subtrees that cannot beat it
+	// are pruned; if nothing beats it, the result is StatusInfeasible
+	// with a nil X, meaning "no solution strictly better than
+	// InitialUpper exists".
+	InitialUpper    float64
+	HasInitialUpper bool
 	// MaxNodes limits explored nodes; 0 means no limit.
 	MaxNodes int
 	// TimeLimit bounds wall-clock time; 0 means no limit.
@@ -453,7 +456,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		s.isInt[j] = true
 	}
 	upper := math.Inf(1)
-	if opt.InitialUpper != 0 && !math.IsInf(opt.InitialUpper, 1) {
+	if opt.HasInitialUpper {
 		upper = opt.InitialUpper
 	}
 	s.sh = newShared(upper, opt.Trace, start)

@@ -132,7 +132,7 @@ func TestInitialUpperPrunes(t *testing.T) {
 	p, cols := knapsack(values, weights, 4)
 	// optimum is -9; an initial upper of -9 means nothing strictly
 	// better exists -> StatusInfeasible with nil X.
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -9})
+	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -9, HasInitialUpper: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,33 @@ func TestInitialUpperPrunes(t *testing.T) {
 		t.Fatalf("status = %v X=%v, want infeasible/nil", res.Status, res.X)
 	}
 	// a looser initial upper still lets the solver find -9.
-	res, err = Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -8})
+	res, err = Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -8, HasInitialUpper: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != StatusOptimal || math.Abs(res.Objective-(-9)) > 1e-9 {
 		t.Fatalf("got %v obj %v, want optimal -9", res.Status, res.Objective)
+	}
+}
+
+// TestInitialUpperZero: a known solution of objective 0 primes the
+// search like any other value (a zero InitialUpper used to read as
+// "no incumbent"), and HasInitialUpper unset ignores InitialUpper.
+func TestInitialUpperZero(t *testing.T) {
+	p, cols := knapsack([]float64{0, 0, 0}, []float64{2, 2, 2}, 3)
+	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, HasInitialUpper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusInfeasible || res.X != nil {
+		t.Fatalf("primed at 0: status = %v X=%v, want infeasible/nil", res.Status, res.X)
+	}
+	res, err = Solve(p, Options{IntVars: cols, ObjIntegral: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusOptimal || res.Objective != 0 {
+		t.Fatalf("unprimed: got %v obj %v, want optimal 0", res.Status, res.Objective)
 	}
 }
 

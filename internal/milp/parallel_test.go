@@ -205,7 +205,7 @@ func TestParallelInitialUpperPrunes(t *testing.T) {
 	p, cols := knapsack(values, weights, 8)
 	// an unbeatable initial upper bound: parallel search must agree with
 	// the serial contract and report infeasible-with-nil-X
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -want - 1, Parallelism: 4, Mode: ModeSteal})
+	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -want - 1, HasInitialUpper: true, Parallelism: 4, Mode: ModeSteal})
 	if err != nil {
 		t.Fatal(err)
 	}

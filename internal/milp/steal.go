@@ -40,8 +40,8 @@ type stealPool struct {
 	cond     *sync.Cond
 	queues   [][]subproblem // per-worker deques
 	curBound []float64      // bound of each worker's in-flight subproblem (+Inf when idle)
-	open     int  // queued + in-flight subproblems
-	waiting  int  // workers blocked in next()
+	open     int            // queued + in-flight subproblems
+	waiting  int            // workers blocked in next()
 	stopped  bool
 
 	workers int

@@ -50,7 +50,7 @@ type BatchInfo struct {
 	// (structural families; each costs at most one cold solve).
 	Chains int `json:"chains"`
 	// Done reports that every job in the batch is terminal.
-	Done bool `json:"done"`
+	Done bool      `json:"done"`
 	Jobs []JobInfo `json:"jobs"`
 }
 

@@ -210,8 +210,8 @@ type job struct {
 	// build/root-lp/search/... → per-worker children), adopting the
 	// trace id of the submitter's traceparent header when one was sent.
 	// rootSpan covers the whole job; queueSpan its time in the queue.
-	spans    *trace.Spans
-	rootSpan *trace.Span
+	spans     *trace.Spans
+	rootSpan  *trace.Span
 	queueSpan *trace.Span
 	// bb is the job's always-on black-box ring; live mirrors the
 	// in-flight search for GET /v1/debug/solves. stalled records a

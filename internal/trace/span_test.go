@@ -88,11 +88,11 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		valid[:54],                              // truncated
-		"ff" + valid[2:],                        // forbidden version
-		"00-" + strings.Repeat("0", 32) + valid[35:], // all-zero trace id
+		valid[:54],       // truncated
+		"ff" + valid[2:], // forbidden version
+		"00-" + strings.Repeat("0", 32) + valid[35:],              // all-zero trace id
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // all-zero span id
-		strings.ToUpper(valid),                  // uppercase hex
+		strings.ToUpper(valid),                                    // uppercase hex
 		"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // wrong separator
 	}
 	for _, h := range bad {

@@ -126,8 +126,8 @@ type Event struct {
 	// Sparse-engine observability (status events, revised engine only).
 	// Engine names the LP engine that ran ("dense" or "revised");
 	// FillIn is FactorNNZ / BasisNNZ — the LU fill ratio of the last
-	// factorized basis — and EtaNNZ counts eta-file entries appended
-	// across the solve (the quantity the refactorization policy bounds).
+	// factorized basis — and EtaNNZ counts the entries the LU updates
+	// stored across the solve (spike plus row-eta nonzeros).
 	Engine         string  `json:"engine,omitempty"`
 	Factorizations int64   `json:"factorizations,omitempty"`
 	FTRANs         int64   `json:"ftrans,omitempty"`
