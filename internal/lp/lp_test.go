@@ -277,6 +277,67 @@ func TestAddRowValidation(t *testing.T) {
 	}
 }
 
+// TestAddRowMatchesAccumulation checks AddRow's sort-and-merge against
+// accumulating into a map and emitting in index order: the same
+// indices, the same values bit for bit (duplicates summed in the order
+// given, zero sums dropped), and the caller's slices left untouched.
+func TestAddRowMatchesAccumulation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := &Problem{}
+	const n = 40
+	for j := 0; j < n; j++ {
+		p.AddVar("", 0, 0, 1)
+	}
+	for i := 0; i < 500; i++ {
+		nk := rng.Intn(30)
+		idx, coef := make([]int, nk), make([]float64, nk)
+		for k := range idx {
+			idx[k] = rng.Intn(n)
+			switch rng.Intn(8) {
+			case 0:
+				coef[k] = 0
+			case 1:
+				coef[k] = math.Copysign(0, -1)
+			case 2:
+				coef[k] = 1
+			case 3:
+				coef[k] = -1
+			default:
+				coef[k] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
+		}
+		idx0, coef0 := append([]int(nil), idx...), append([]float64(nil), coef...)
+		if err := p.AddRow("", idx, coef, -Inf, 1); err != nil {
+			t.Fatal(err)
+		}
+		for k := range idx {
+			if idx[k] != idx0[k] || math.Float64bits(coef[k]) != math.Float64bits(coef0[k]) {
+				t.Fatalf("row %d: AddRow modified its arguments", i)
+			}
+		}
+		acc := map[int]float64{}
+		for k, j := range idx {
+			acc[j] += coef[k]
+		}
+		var wantIdx []int
+		var wantVal []float64
+		for j := 0; j < n; j++ {
+			if v, ok := acc[j]; ok && v != 0 {
+				wantIdx, wantVal = append(wantIdx, j), append(wantVal, v)
+			}
+		}
+		gotIdx, gotVal := p.Row(i)
+		if len(gotIdx) != len(wantIdx) {
+			t.Fatalf("row %d: %d entries, want %d", i, len(gotIdx), len(wantIdx))
+		}
+		for k := range gotIdx {
+			if gotIdx[k] != wantIdx[k] || math.Float64bits(gotVal[k]) != math.Float64bits(wantVal[k]) {
+				t.Fatalf("row %d entry %d: (%d, %v), want (%d, %v)", i, k, gotIdx[k], gotVal[k], wantIdx[k], wantVal[k])
+			}
+		}
+	}
+}
+
 func TestEmptyProblemRejected(t *testing.T) {
 	if _, err := NewSolver(&Problem{}); err != nil {
 		return

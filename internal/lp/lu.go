@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file is the linear-algebra kernel of the revised simplex engine:
 // a sparse LU factorization of the basis (Gilbert–Peierls left-looking
@@ -34,9 +37,22 @@ import "math"
 //
 // and the update stores only the spike (1–3% dense on the suite's
 // bases) and the row eta, where a product-form eta would store the
-// whole FTRAN'd column. All solve loops skip entries at or below
-// tinyTol: a unit right-hand side touches a small fraction of the
-// factors.
+// whole FTRAN'd column.
+//
+// Sparse sweeps. The vectors the solves work on are mostly sparse (on
+// the fir16/N2L3 root basis a BTRAN'd unit vector averages 12% of the
+// rows), so the triangular sweeps visit only the nonzeros, in exactly
+// the order a dense sweep over all m positions would: the arithmetic
+// matches the dense sweep bit for bit. Each sweep keeps a bitset over
+// its index space (umask by position in the triangular order, kmask by
+// pivot order): the caller seeds it with the vector's nonzeros, a
+// scatter into a zero entry marks it (a nonzero entry is marked
+// already), and the sweep takes the lowest (ascending) or highest
+// (descending) set bit of the current word, clearing it. A scatter
+// only writes entries further along the sweep, so re-reading the
+// current word after each entry sees them in time. A sweep costs
+// O(m/64 + entries touched) and leaves its mask all zero.
+// Entries at or below tinyTol are skipped as zeros throughout.
 
 // singTol is the smallest pivot magnitude the factorization accepts; a
 // basis producing nothing larger is treated as numerically singular and
@@ -171,14 +187,21 @@ type basisLU struct {
 	luNNZ    int
 	basisNNZ int
 
+	// xpat lists the basis positions of the last FTRAN result's
+	// nonzeros, ypat the rows of the last BTRAN result's nonzeros.
+	xpat []int32
+	ypat []int32
+
 	// scratch
-	w    []float64 // dense work vector, all zero between calls
-	pat  []int32   // reach pattern, filled top..m-1
-	stk  []int32   // DFS node stack
-	pstk []int32   // DFS per-level child cursor
-	flag []int32   // DFS visited marks, stamped with gen
-	gen  int32
-	cnt  []int32 // counting-sort / transpose scratch
+	w     []float64 // dense work vector, all zero between calls
+	umask []uint64  // sweep mask by triangular position, all zero between calls
+	kmask []uint64  // sweep mask by pivot order, all zero between calls
+	pat   []int32   // reach pattern, filled top..m-1
+	stk   []int32   // DFS node stack
+	pstk  []int32   // DFS per-level child cursor
+	flag  []int32   // DFS visited marks, stamped with gen
+	gen   int32
+	cnt   []int32 // counting-sort / transpose scratch
 }
 
 func newBasisLU(m int) *basisLU {
@@ -198,7 +221,11 @@ func newBasisLU(m int) *basisLU {
 		urLen: make([]int32, m),
 		urCap: make([]int32, m),
 		spike: make([]float64, m),
+		xpat:  make([]int32, 0, m),
+		ypat:  make([]int32, 0, m),
 		w:     make([]float64, m),
+		umask: make([]uint64, (m+63)/64),
+		kmask: make([]uint64, (m+63)/64),
 		pat:   make([]int32, m),
 		stk:   make([]int32, m),
 		pstk:  make([]int32, m),
@@ -482,10 +509,12 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// mark sets bit i of mask.
+func mark(mask []uint64, i int32) { mask[i>>6] |= 1 << (uint(i) & 63) }
+
 // ftran solves B x_out = x in place; x is a dense vector in row space
-// on entry and in position space on return. Entries at or below
-// tinyTol are skipped throughout. Each solve clears the entries it
-// leaves in the work vector w while writing its result.
+// on entry and in position space on return. Each solve clears the
+// entries it leaves in the work vector w while writing its result.
 func (f *basisLU) ftran(x []float64) {
 	w := f.w
 	copy(w, x)
@@ -503,13 +532,19 @@ func (f *basisLU) ftran(x []float64) {
 	for e := range f.rLab {
 		w[f.rLab[e]] -= f.rDot(e, w)
 	}
+	for i, v := range w {
+		if v != 0 {
+			mark(f.umask, f.upos[i])
+		}
+	}
+	clear(x)
 	f.usolve(w, x)
 }
 
 // ftranCol solves B x = a_q for column q of [A|I] into x and saves the
 // spike the next update needs. The L solve visits only the rows the
 // column reaches (the Gilbert–Peierls reach factorize uses), which is
-// also the spike's pattern.
+// also the spike's pattern and seeds the U solve's mask.
 func (f *basisLU) ftranCol(x []float64, q, n int, a *csc) {
 	for _, i := range f.spat {
 		f.spike[i] = 0
@@ -547,8 +582,10 @@ func (f *basisLU) ftranCol(x []float64, q, n int, a *csc) {
 		}
 		f.spike[i] = w[i]
 		f.spat = append(f.spat, i)
+		mark(f.umask, f.upos[i])
 	}
 	f.spikeOK = true
+	clear(x)
 	f.usolve(w, x)
 }
 
@@ -564,58 +601,93 @@ func (f *basisLU) rDot(e int, w []float64) float64 {
 }
 
 // usolve finishes FTRAN: the U solve on w, backward in triangular
-// order, writing each finished entry to its basis position in x and
-// clearing w behind it.
+// order over the positions umask marks (the caller marks w's nonzeros;
+// U column i scatters only into positions before i's). It writes each
+// finished entry to its basis position in x, which must be zero on
+// entry, lists those positions in xpat, and clears w and umask behind
+// it.
 func (f *basisLU) usolve(w, x []float64) {
-	for p := f.m - 1; p >= 0; p-- {
-		i := f.uord[p]
-		wi := w[i]
-		if math.Abs(wi) <= tinyTol {
+	umask, uord, upos := f.umask, f.uord, f.upos
+	xpat := f.xpat[:0]
+	for k := len(umask) - 1; k >= 0; k-- {
+		for umask[k] != 0 {
+			b := 63 - bits.LeadingZeros64(umask[k])
+			umask[k] &^= 1 << uint(b)
+			i := uord[k<<6|b]
+			wi := w[i]
 			w[i] = 0
-			x[f.lpos[i]] = 0
-			continue
-		}
-		w[i] = 0
-		wi /= f.diag[i]
-		x[f.lpos[i]] = wi
-		for t := f.ucBeg[i]; t < f.ucBeg[i]+f.ucLen[i]; t++ {
-			w[f.ucIdx[t]] -= f.ucVal[t] * wi
+			if math.Abs(wi) <= tinyTol {
+				continue
+			}
+			wi /= f.diag[i]
+			pos := f.lpos[i]
+			x[pos] = wi
+			xpat = append(xpat, pos)
+			t0, t1 := f.ucBeg[i], f.ucBeg[i]+f.ucLen[i]
+			val := f.ucVal[t0:t1]
+			for t, j := range f.ucIdx[t0:t1] {
+				wj := w[j]
+				if wj == 0 {
+					mark(umask, upos[j])
+				}
+				w[j] = wj - val[t]*wi
+			}
 		}
 	}
+	f.xpat = xpat
 }
 
 // btran solves B^T y_out = y in place; y is a dense vector in position
 // space on entry and in row space on return.
 func (f *basisLU) btran(y []float64) {
 	for i := 0; i < f.m; i++ {
-		f.w[i] = y[f.lpos[i]]
+		if v := y[f.lpos[i]]; v != 0 {
+			f.w[i] = v
+			mark(f.umask, f.upos[i])
+		}
 	}
 	f.bsolve(y)
 }
 
 // btranUnit solves B^T y = e_r into y: row r of B^{-1}.
 func (f *basisLU) btranUnit(r int, y []float64) {
-	f.w[f.plab[r]] = 1
+	i := f.plab[r]
+	f.w[i] = 1
+	mark(f.umask, f.upos[i])
 	f.bsolve(y)
 }
 
-// bsolve is BTRAN after Q^T: U^T, the row eta transposes in reverse,
-// then L^T, whose backward pass writes each finished entry to y and
-// clears w behind it.
+// bsolve is BTRAN after Q^T, on w with its nonzeros marked in umask:
+// U^T forward over umask (U row i scatters only into positions after
+// i's), the row eta transposes in reverse, then L^T backward over
+// kmask, which every entry left in w is marked in. The L^T pass writes
+// each finished entry to y (cleared first), lists its row in ypat, and
+// clears w and both masks behind it.
 func (f *basisLU) bsolve(y []float64) {
-	m := f.m
 	w := f.w
-	for p := 0; p < m; p++ { // U^T solve, forward scatter by rows
-		i := f.uord[p]
-		wi := w[i]
-		if math.Abs(wi) <= tinyTol {
-			w[i] = 0
-			continue
-		}
-		wi /= f.diag[i]
-		w[i] = wi
-		for t := f.urBeg[i]; t < f.urBeg[i]+f.urLen[i]; t++ {
-			w[f.urIdx[t]] -= f.urVal[t] * wi
+	umask, kmask, uord, upos, pinv := f.umask, f.kmask, f.uord, f.upos, f.pinv
+	for k := range umask { // U^T solve, forward scatter by rows
+		for umask[k] != 0 {
+			b := bits.TrailingZeros64(umask[k])
+			umask[k] &^= 1 << uint(b)
+			i := uord[k<<6|b]
+			wi := w[i]
+			if math.Abs(wi) <= tinyTol {
+				w[i] = 0
+				continue
+			}
+			wi /= f.diag[i]
+			w[i] = wi
+			mark(kmask, pinv[i])
+			t0, t1 := f.urBeg[i], f.urBeg[i]+f.urLen[i]
+			val := f.urVal[t0:t1]
+			for t, j := range f.urIdx[t0:t1] {
+				wj := w[j]
+				if wj == 0 {
+					mark(umask, upos[j])
+				}
+				w[j] = wj - val[t]*wi
+			}
 		}
 	}
 	for e := len(f.rLab) - 1; e >= 0; e-- {
@@ -623,24 +695,43 @@ func (f *basisLU) bsolve(y []float64) {
 		if math.Abs(v) <= tinyTol {
 			continue
 		}
-		for t := f.rStart[e]; t < f.rStart[e+1]; t++ {
-			w[f.rIdx[t]] -= f.rVal[t] * v
+		t0, t1 := f.rStart[e], f.rStart[e+1]
+		val := f.rVal[t0:t1]
+		for t, j := range f.rIdx[t0:t1] {
+			wj := w[j]
+			if wj == 0 {
+				mark(kmask, pinv[j])
+			}
+			w[j] = wj - val[t]*v
 		}
 	}
-	for k := m - 1; k >= 0; k-- { // L^T solve, backward scatter
-		i := f.prow[k]
-		v := w[i]
-		if math.Abs(v) <= tinyTol {
+	clear(y)
+	ypat := f.ypat[:0]
+	for k := len(kmask) - 1; k >= 0; k-- { // L^T solve, backward scatter
+		for kmask[k] != 0 {
+			b := 63 - bits.LeadingZeros64(kmask[k])
+			kmask[k] &^= 1 << uint(b)
+			kp := k<<6 | b
+			i := f.prow[kp]
+			v := w[i]
 			w[i] = 0
-			y[i] = 0
-			continue
-		}
-		w[i] = 0
-		y[i] = v
-		for t := f.ltptr[k]; t < f.ltptr[k+1]; t++ {
-			w[f.ltrow[t]] -= f.ltval[t] * v
+			if math.Abs(v) <= tinyTol {
+				continue
+			}
+			y[i] = v
+			ypat = append(ypat, i)
+			t0, t1 := f.ltptr[kp], f.ltptr[kp+1]
+			val := f.ltval[t0:t1]
+			for t, j := range f.ltrow[t0:t1] {
+				wj := w[j]
+				if wj == 0 {
+					mark(kmask, pinv[j])
+				}
+				w[j] = wj - val[t]*v
+			}
 		}
 	}
+	f.ypat = ypat
 }
 
 // update replaces the column of basis position r with the entering
@@ -657,17 +748,22 @@ func (f *basisLU) update(r int, piv float64) (int, bool) {
 	m := f.m
 	ir := f.plab[r]
 	p := int(f.upos[ir])
-	rw := f.w
+	rw, umask := f.w, f.umask
 	rb, re := f.urBeg[ir], f.urBeg[ir]+f.urLen[ir]
 	for t := rb; t < re; t++ {
-		rw[f.urIdx[t]] = f.urVal[t]
+		j := f.urIdx[t]
+		rw[j] = f.urVal[t]
+		mark(umask, f.upos[j])
 	}
-	// eliminate row ir against the rows after it, in triangular order
+	// eliminate row ir against the rows after it, in triangular order:
+	// a forward sweep over umask, which holds only positions after p
 	r0 := len(f.rIdx)
 	dnew := f.spike[ir]
-	if re > rb {
-		for pp := p + 1; pp < m; pp++ {
-			j := f.uord[pp]
+	for k := p >> 6; k < len(umask); k++ {
+		for umask[k] != 0 {
+			b := bits.TrailingZeros64(umask[k])
+			umask[k] &^= 1 << uint(b)
+			j := f.uord[k<<6|b]
 			v := rw[j]
 			rw[j] = 0
 			if math.Abs(v) <= tinyTol {
@@ -677,8 +773,14 @@ func (f *basisLU) update(r int, piv float64) (int, bool) {
 			f.rIdx = append(f.rIdx, j)
 			f.rVal = append(f.rVal, mj)
 			dnew -= mj * f.spike[j]
-			for t := f.urBeg[j]; t < f.urBeg[j]+f.urLen[j]; t++ {
-				rw[f.urIdx[t]] -= mj * f.urVal[t]
+			t0, t1 := f.urBeg[j], f.urBeg[j]+f.urLen[j]
+			val := f.urVal[t0:t1]
+			for t, jj := range f.urIdx[t0:t1] {
+				wj := rw[jj]
+				if wj == 0 {
+					mark(umask, f.upos[jj])
+				}
+				rw[jj] = wj - mj*val[t]
 			}
 		}
 	}

@@ -13,8 +13,10 @@ import (
 //
 // which builds the same model as the suite entry). FTRAN and BTRAN are
 // measured on the basis the root LP ends on, factors and updates as the
-// solve leaves them; Pivot times whole root solves and reports the
-// per-pivot cost.
+// solve leaves them; RatioDual runs the dual ratio test on pivot rows of
+// that basis; Pivot times whole root solves and reports the per-pivot
+// cost. BenchmarkDenseReference runs the dense reference sweeps of
+// lu_test.go on the same inputs.
 
 // fir16Root returns a revised-engine solver holding the root-optimal
 // basis of fir16/N2L3.
@@ -94,4 +96,76 @@ func BenchmarkPivot(b *testing.B) {
 		pivots += s.Iterations - it
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+}
+
+// savedRow is one scattered pivot row, kept so a benchmark can swap it
+// back in without recomputing it.
+type savedRow struct {
+	r     int
+	alpha []float64
+	amask []uint64
+	apat  []int32
+}
+
+// pivotRows scatters the pivot rows of 64 basis positions spread over
+// the basis.
+func pivotRows(s *Solver) []savedRow {
+	rv := s.rev
+	var rows []savedRow
+	for k := 0; k < 64; k++ {
+		r := k * s.m / 64
+		s.revPivotRow(r)
+		rows = append(rows, savedRow{r: r,
+			alpha: append([]float64(nil), rv.alpha...),
+			amask: append([]uint64(nil), rv.amask...),
+			apat:  append([]int32(nil), rv.apat...)})
+	}
+	return rows
+}
+
+// ratioSink keeps the benchmarked ratio tests' results live.
+var ratioSink int
+
+// benchRatioDual runs ratio over the saved pivot rows of the fir16 root
+// basis in turn, both leaving directions.
+func benchRatioDual(b *testing.B, ratio func(s *Solver, r int, below bool) int) {
+	s := fir16Root(b)
+	rows := pivotRows(s)
+	rv := s.rev
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sr := rows[i%len(rows)]
+		rv.alpha, rv.amask, rv.apat = sr.alpha, sr.amask, sr.apat
+		ratioSink = ratio(s, sr.r, (i/len(rows))%2 == 0)
+	}
+}
+
+// BenchmarkRatioDual is the dual ratio test on a scattered pivot row:
+// the entering-column choice of a dual iteration.
+func BenchmarkRatioDual(b *testing.B) {
+	benchRatioDual(b, func(s *Solver, r int, below bool) int { return s.revRatioDual(r, below) })
+}
+
+// BenchmarkDenseReference runs the dense reference sweeps on the inputs
+// of BenchmarkFTRAN, BenchmarkBTRAN and BenchmarkRatioDual.
+func BenchmarkDenseReference(b *testing.B) {
+	b.Run("FTRAN", func(b *testing.B) {
+		s := fir16Root(b)
+		qs := nonbasicCols(s)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.rev.lu.refFtranCol(s.rev.col, qs[i%len(qs)], s.n, s.rev.a)
+		}
+	})
+	b.Run("BTRAN", func(b *testing.B) {
+		s := fir16Root(b)
+		rho := s.rev.rho
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.rev.lu.refBtranUnit(i%s.m, rho)
+		}
+	})
+	b.Run("RatioDual", func(b *testing.B) {
+		benchRatioDual(b, func(s *Solver, r int, below bool) int { return refRatioDual(s, below) })
+	})
 }

@@ -17,8 +17,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is positive infinity, for unbounded sides of constraints and
@@ -103,8 +105,10 @@ func (p *Problem) SetVarBounds(j int, lo, hi float64) error {
 func (p *Problem) Obj(j int) float64 { return p.obj[j] }
 
 // AddRow appends the range constraint lo <= sum coef_j x_j <= hi.
-// Duplicate indices in idx are accumulated. Use Inf / -Inf for
-// one-sided constraints and lo == hi for equalities.
+// Duplicate indices in idx are accumulated in the order they appear,
+// and entries summing to zero are dropped. Use Inf / -Inf for
+// one-sided constraints and lo == hi for equalities. idx and coef are
+// not modified.
 func (p *Problem) AddRow(name string, idx []int, coef []float64, lo, hi float64) error {
 	if len(idx) != len(coef) {
 		return fmt.Errorf("lp: AddRow %q: %d indices vs %d coefficients", name, len(idx), len(coef))
@@ -112,17 +116,25 @@ func (p *Problem) AddRow(name string, idx []int, coef []float64, lo, hi float64)
 	if lo > hi {
 		return fmt.Errorf("lp: AddRow %q: empty range [%v,%v]", name, lo, hi)
 	}
-	acc := map[int]float64{}
-	for k, j := range idx {
+	for _, j := range idx {
 		if j < 0 || j >= len(p.obj) {
 			return fmt.Errorf("lp: AddRow %q: variable %d out of range", name, j)
 		}
-		acc[j] += coef[k]
 	}
-	r := row{lo: lo, hi: hi}
-	// deterministic order
-	for j := 0; j < len(p.obj); j++ {
-		if v, ok := acc[j]; ok && v != 0 {
+	// a stable sort by index keeps duplicates in their original order,
+	// so each sum adds its terms as they were given
+	ord := make([]int32, len(idx))
+	for k := range ord {
+		ord[k] = int32(k)
+	}
+	slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(idx[a], idx[b]) })
+	r := row{lo: lo, hi: hi, idx: make([]int, 0, len(idx)), val: make([]float64, 0, len(idx))}
+	for t := 0; t < len(ord); {
+		j, v := idx[ord[t]], coef[ord[t]]
+		for t++; t < len(ord) && idx[ord[t]] == j; t++ {
+			v += coef[ord[t]]
+		}
+		if v != 0 {
 			r.idx = append(r.idx, j)
 			r.val = append(r.val, v)
 		}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/trace"
@@ -49,16 +50,17 @@ type revisedState struct {
 	a  *csc     // structural columns of A, immutable, shared by clones
 	lu *basisLU // factorized basis + Forrest–Tomlin updates
 
-	col []float64 // m: FTRAN result, the entering tableau column
-	rho []float64 // m: BTRAN result, the basis-inverse row (Farkas ray)
+	col []float64 // m: FTRAN result, the entering tableau column, nonzero on lu.xpat
+	rho []float64 // m: BTRAN result, the basis-inverse row (Farkas ray), nonzero on lu.ypat
 
-	// alpha is the pivot row tab[r,:] scattered from rho. Entries are
-	// valid only when stamped with the current generation, so clearing
-	// between pivots is O(1).
+	// alpha is the pivot row tab[r,:] scattered from rho, zero outside
+	// its pattern: apat lists the pattern in scatter order, amask holds
+	// it as a bitset for ascending scans. The next revPivotRow clears
+	// all three over apat.
 	alpha []float64
-	aseen []int32
-	agen  int32
-	apat  []int32 // alpha's nonzero pattern, scatter order
+	amask []uint64
+	apat  []int32
+	rmask []uint64 // m-bit row scratch, all zero between calls
 
 	wts        []float64 // devex reference weights, ntot
 	devexReset bool      // weights overflowed; reseed at next pricing
@@ -77,19 +79,11 @@ func newRevisedState(n, m int, a *csc) *revisedState {
 		col:   make([]float64, m),
 		rho:   make([]float64, m),
 		alpha: make([]float64, n+m),
-		aseen: make([]int32, n+m),
+		amask: make([]uint64, (n+m+63)/64),
 		apat:  make([]int32, 0, n+m),
+		rmask: make([]uint64, (m+63)/64),
 		wts:   make([]float64, n+m),
 	}
-}
-
-// alphaAt returns pivot-row entry j of the last revPivotRow, 0 when
-// untouched by the scatter.
-func (rv *revisedState) alphaAt(j int) float64 {
-	if rv.aseen[j] == rv.agen {
-		return rv.alpha[j]
-	}
-	return 0
 }
 
 // revFactorize rebuilds the LU factors from the current basis, dropping
@@ -173,8 +167,8 @@ func (s *Solver) revReset() {
 }
 
 // revFtranCol computes the entering tableau column B^{-1} a_q into
-// rev.col (dense, position space), saving the spike a following
-// revPivot on q stores in U.
+// rev.col (dense, position space, nonzero on lu.xpat), saving the spike
+// a following revPivot on q stores in U.
 func (s *Solver) revFtranCol(q int) {
 	rv := s.rev
 	rv.lu.ftranCol(rv.col, q, s.n, rv.a)
@@ -182,40 +176,44 @@ func (s *Solver) revFtranCol(q int) {
 }
 
 // revPivotRow computes tableau row r: rho = B^{-T} e_r, then
-// alpha = rho^T [A|I] scattered across the rows rho touches. alpha is
-// read back through alphaAt / apat.
+// alpha = rho^T [A|I] scattered from the rows rho touches (lu.ypat),
+// taken in ascending row order through rmask so each alpha_j sums its
+// terms in the same order a dense scan over all rows would.
 func (s *Solver) revPivotRow(r int) {
 	rv := s.rev
 	rho := rv.rho
 	rv.lu.btranUnit(r, rho)
 	s.Counters.BTRANs++
-	if rv.agen == math.MaxInt32 {
-		for j := range rv.aseen {
-			rv.aseen[j] = 0
-		}
-		rv.agen = 0
+	for _, j := range rv.apat {
+		rv.alpha[j] = 0
+		rv.amask[j>>6] = 0
 	}
-	rv.agen++
 	rv.apat = rv.apat[:0]
-	for i := 0; i < s.m; i++ {
-		y := rho[i]
-		if y == 0 {
-			continue
-		}
-		rv.addAlpha(s.n+i, y) // logical column e_i
-		rr := s.origRows[i]
-		for k, j := range rr.idx {
-			rv.addAlpha(j, y*rr.val[k])
+	for _, i := range rv.lu.ypat {
+		mark(rv.rmask, i)
+	}
+	for k, word := range rv.rmask {
+		rv.rmask[k] = 0
+		for word != 0 {
+			i := k<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			y := rho[i]
+			rv.addAlpha(s.n+i, y) // logical column e_i
+			rr := s.origRows[i]
+			for t, j := range rr.idx {
+				rv.addAlpha(j, y*rr.val[t])
+			}
 		}
 	}
 }
 
 func (rv *revisedState) addAlpha(j int, v float64) {
-	if rv.aseen[j] == rv.agen {
+	w, b := j>>6, uint64(1)<<(uint(j)&63)
+	if rv.amask[w]&b != 0 {
 		rv.alpha[j] += v
 		return
 	}
-	rv.aseen[j] = rv.agen
+	rv.amask[w] |= b
 	rv.alpha[j] = v
 	rv.apat = append(rv.apat, int32(j))
 }
@@ -259,11 +257,15 @@ func (s *Solver) revShiftNonbasic(j int, delta float64) {
 		return
 	}
 	s.revFtranCol(j)
-	col := rv.col
-	for i := 0; i < s.m; i++ {
-		if col[i] != 0 {
-			s.beta[i] -= col[i] * delta
-		}
+	s.revShiftBeta(delta)
+}
+
+// revShiftBeta moves the basic values along the last FTRAN'd column:
+// beta -= delta · rev.col, over the column's nonzeros.
+func (s *Solver) revShiftBeta(delta float64) {
+	col := s.rev.col
+	for _, i := range s.rev.lu.xpat {
+		s.beta[i] -= col[i] * delta
 	}
 }
 
@@ -328,7 +330,7 @@ func (s *Solver) revRestoreDuals() {
 // degraded updated factors: the caller refactorizes and redoes the
 // iteration.
 func (s *Solver) revPivotAgree(r, q int) bool {
-	cv, av := s.rev.col[r], s.rev.alphaAt(q)
+	cv, av := s.rev.col[r], s.rev.alpha[q]
 	if math.Abs(cv) < pivTol {
 		return false
 	}
@@ -482,47 +484,53 @@ func (s *Solver) revRatioPrimal(q int, sigma float64) (leave int, step float64, 
 	return leave, step, hitUpper, false
 }
 
-// revRatioDual is ratioDual reading the scattered pivot row alpha; the
-// column scan stays a full ascending sweep (exactly the dense cost), so
-// entering-column selection is deterministic.
+// revRatioDual is ratioDual reading the scattered pivot row alpha. It
+// visits only the row's pattern, in ascending column order through
+// amask: the columns a dense sweep would visit with the same tie
+// rules (every other column has alpha_j = 0 and fails the pivot
+// test), so entering-column selection is deterministic and unchanged.
 func (s *Solver) revRatioDual(r int, below bool) int {
 	rv := s.rev
 	q := -1
 	bestRatio := math.Inf(1)
 	bestPiv := 0.0
-	for j := 0; j < s.ntot; j++ {
-		if s.vstat[j] == basic || s.lo[j] == s.hi[j] {
-			continue
-		}
-		a := rv.alphaAt(j)
-		if a > -pivTol && a < pivTol {
-			continue
-		}
-		eligible := false
-		switch s.vstat[j] {
-		case atLower:
-			eligible = (below && a < 0) || (!below && a > 0)
-		case atUpper:
-			eligible = (below && a > 0) || (!below && a < 0)
-		case atFree:
-			eligible = true
-		}
-		if !eligible {
-			continue
-		}
-		ratio := math.Abs(s.d[j] / a)
-		if s.bland {
-			if q < 0 || ratio < bestRatio-tieTol {
-				q, bestRatio = j, ratio
+	for k, word := range rv.amask {
+		for word != 0 {
+			j := k<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if s.vstat[j] == basic || s.lo[j] == s.hi[j] {
+				continue
 			}
-			continue
-		}
-		aa := math.Abs(a)
-		switch {
-		case ratio < bestRatio-tieTol:
-			q, bestRatio, bestPiv = j, ratio, aa
-		case ratio < bestRatio+tieTol && aa > bestPiv+tieTol:
-			q, bestRatio, bestPiv = j, ratio, aa
+			a := rv.alpha[j]
+			if a > -pivTol && a < pivTol {
+				continue
+			}
+			eligible := false
+			switch s.vstat[j] {
+			case atLower:
+				eligible = (below && a < 0) || (!below && a > 0)
+			case atUpper:
+				eligible = (below && a > 0) || (!below && a < 0)
+			case atFree:
+				eligible = true
+			}
+			if !eligible {
+				continue
+			}
+			ratio := math.Abs(s.d[j] / a)
+			if s.bland {
+				if q < 0 || ratio < bestRatio-tieTol {
+					q, bestRatio = j, ratio
+				}
+				continue
+			}
+			aa := math.Abs(a)
+			switch {
+			case ratio < bestRatio-tieTol:
+				q, bestRatio, bestPiv = j, ratio, aa
+			case ratio < bestRatio+tieTol && aa > bestPiv+tieTol:
+				q, bestRatio, bestPiv = j, ratio, aa
+			}
 		}
 	}
 	return q
@@ -540,11 +548,7 @@ func (s *Solver) revPivot(r, q int, delta float64, hitUpper bool) {
 	col := rv.col
 	newVal := s.nbVal[q] + delta
 	if delta != 0 {
-		for i := 0; i < s.m; i++ {
-			if col[i] != 0 {
-				s.beta[i] -= col[i] * delta
-			}
-		}
+		s.revShiftBeta(delta)
 	}
 	leave := s.basis[r]
 	if hitUpper {
@@ -558,7 +562,7 @@ func (s *Solver) revPivot(r, q int, delta float64, hitUpper bool) {
 	s.vstat[q] = basic
 	s.beta[r] = newVal
 	// reduced costs: d_j -= d_q · alpha_j/alpha_q over the pivot row
-	aq := rv.alphaAt(q)
+	aq := rv.alpha[q]
 	dq := s.d[q]
 	if dq != 0 && aq != 0 {
 		f := dq / aq
@@ -642,13 +646,7 @@ func (s *Solver) revPrimalSimplex() Status {
 		if flip {
 			s.Iterations++
 			s.noteDegenerate(step)
-			col := s.rev.col
-			delta := sigma * step
-			for i := 0; i < s.m; i++ {
-				if col[i] != 0 {
-					s.beta[i] -= col[i] * delta
-				}
-			}
+			s.revShiftBeta(sigma * step)
 			if sigma > 0 {
 				s.vstat[q], s.nbVal[q] = atUpper, s.hi[q]
 			} else {
